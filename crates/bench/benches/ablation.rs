@@ -5,7 +5,7 @@
 //! and measures the IPC change against full HPE on the applications each
 //! mechanism targets.
 
-use hpe_bench::{bench_config, f3, run_hpe_with, run_policy, save_json, PolicyKind, Table};
+use hpe_bench::{bench_config, f3, run, run_policy, save_json, PolicyKind, RunSpec, Table};
 use hpe_core::HpeConfig;
 use uvm_types::Oversubscription;
 use uvm_util::json;
@@ -44,14 +44,18 @@ fn main() {
     let mut json = Vec::new();
     for abbr in apps {
         let app = registry::by_abbr(abbr).expect("registered app");
-        let full = run_hpe_with(&cfg, app, rate, HpeConfig::from_sim(&cfg)).expect("bench run");
+        let full = run_policy(&cfg, app, rate, PolicyKind::Hpe).expect("bench run");
         let base_ipc = full.stats.ipc();
         let mut row = vec![abbr.to_string(), format!("{base_ipc:.5}")];
         let mut entry = json!({ "app": abbr, "full_ipc": base_ipc });
         for (name, tweak) in variants {
             let mut hpe_cfg = HpeConfig::from_sim(&cfg);
             tweak(&mut hpe_cfg);
-            let r = run_hpe_with(&cfg, app, rate, hpe_cfg).expect("bench run");
+            let spec = RunSpec {
+                hpe: Some(hpe_cfg),
+                ..RunSpec::default()
+            };
+            let r = run(&cfg, app, rate, &spec).expect("bench run").result;
             let norm = r.stats.ipc() / base_ipc;
             row.push(f3(norm));
             entry[name] = json!(norm);

@@ -5,13 +5,13 @@
 //! latency). Reported as average IPC per pattern type normalized to page
 //! set size 8. Paper shape: all three sizes within ~10% of each other.
 
-use hpe_bench::{bench_config, f3, manual_strategy_for, mean, run_hpe_with, save_json, Table};
+use hpe_bench::{bench_config, f3, manual_strategy_for, mean, run, save_json, RunSpec, Table};
 use hpe_core::HpeConfig;
 use uvm_types::Oversubscription;
 use uvm_util::json;
 use uvm_workloads::{registry, PatternType};
 
-fn sensitivity_cfg(page_set_size: u32, interval_len: u32, app: &uvm_workloads::App) -> HpeConfig {
+fn sensitivity_spec(page_set_size: u32, interval_len: u32, app: &uvm_workloads::App) -> RunSpec {
     let mut cfg = HpeConfig::paper_default();
     cfg.page_set_size = page_set_size;
     cfg.interval_len = interval_len;
@@ -21,7 +21,10 @@ fn sensitivity_cfg(page_set_size: u32, interval_len: u32, app: &uvm_workloads::A
     cfg.use_hir = false;
     cfg.dynamic_adjustment = false;
     cfg.forced_strategy = Some(manual_strategy_for(app));
-    cfg
+    RunSpec {
+        hpe: Some(cfg),
+        ..RunSpec::default()
+    }
 }
 
 fn main() {
@@ -37,9 +40,12 @@ fn main() {
             let ipcs: Vec<f64> = registry::by_pattern(pattern)
                 .into_iter()
                 .map(|app| {
-                    let r = run_hpe_with(&cfg, app, rate, sensitivity_cfg(size, 64, app))
-                        .expect("bench run");
-                    r.stats.ipc()
+                    let spec = sensitivity_spec(size, 64, app);
+                    run(&cfg, app, rate, &spec)
+                        .expect("bench run")
+                        .result
+                        .stats
+                        .ipc()
                 })
                 .collect();
             per_pattern[si].push(mean(&ipcs));

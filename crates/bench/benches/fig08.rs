@@ -7,20 +7,23 @@
 //! unstable for type II (best for SRD, worst for STN), so the paper picks
 //! 64.
 
-use hpe_bench::{bench_config, f3, manual_strategy_for, mean, run_hpe_with, save_json, Table};
+use hpe_bench::{bench_config, f3, manual_strategy_for, mean, run, save_json, RunSpec, Table};
 use hpe_core::HpeConfig;
 use uvm_types::Oversubscription;
 use uvm_util::json;
 use uvm_workloads::{registry, PatternType};
 
-fn sensitivity_cfg(interval_len: u32, app: &uvm_workloads::App) -> HpeConfig {
+fn sensitivity_spec(interval_len: u32, app: &uvm_workloads::App) -> RunSpec {
     let mut cfg = HpeConfig::paper_default();
     cfg.interval_len = interval_len;
     cfg.fifo_depth = 2 * interval_len;
     cfg.use_hir = false;
     cfg.dynamic_adjustment = false;
     cfg.forced_strategy = Some(manual_strategy_for(app));
-    cfg
+    RunSpec {
+        hpe: Some(cfg),
+        ..RunSpec::default()
+    }
 }
 
 fn main() {
@@ -35,8 +38,8 @@ fn main() {
             let ipcs: Vec<f64> = registry::by_pattern(pattern)
                 .into_iter()
                 .map(|app| {
-                    let r = run_hpe_with(&cfg, app, rate, sensitivity_cfg(interval, app))
-                        .expect("bench run");
+                    let spec = sensitivity_spec(interval, app);
+                    let r = run(&cfg, app, rate, &spec).expect("bench run").result;
                     r.stats.ipc()
                 })
                 .collect();
@@ -81,8 +84,10 @@ fn main() {
         let ipcs: Vec<f64> = intervals
             .iter()
             .map(|&i| {
-                run_hpe_with(&cfg, app, rate, sensitivity_cfg(i, app))
+                let spec = sensitivity_spec(i, app);
+                run(&cfg, app, rate, &spec)
                     .expect("bench run")
+                    .result
                     .stats
                     .ipc()
             })

@@ -7,7 +7,7 @@
 //! MRU-C throughout; SRD/HSD/DWT/SGM adjust the search point; BFS, SAD,
 //! HIS switch between strategies.
 
-use hpe_bench::{bench_config, run_policy_traced, save_json, PolicyKind, Table};
+use hpe_bench::{bench_config, run, save_json, RunSpec, Table};
 use hpe_core::StrategyKind;
 use uvm_types::Oversubscription;
 use uvm_util::json;
@@ -25,8 +25,12 @@ fn main() {
             &["app", "%LRU", "%MRU-C", "switches", "jumps", "timeline"],
         );
         for app in registry::all() {
-            let (r, capture) =
-                run_policy_traced(&cfg, app, rate, PolicyKind::Hpe).expect("bench run");
+            let spec = RunSpec {
+                trace: true,
+                ..RunSpec::default()
+            };
+            let out = run(&cfg, app, rate, &spec).expect("bench run");
+            let (r, capture) = (out.result, out.trace.expect("trace capture"));
             let total_faults = r.stats.faults().max(1);
             let report = r.hpe.expect("HPE report");
             // Integrate the timeline over fault numbers, starting at the

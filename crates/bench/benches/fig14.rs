@@ -5,7 +5,7 @@
 //! the paper. Paper shape: typically below 50 comparisons, with BFS and
 //! HIS as outliers (irregular#2 apps that adjust during runtime).
 
-use hpe_bench::{bench_config, f2, run_policy_traced, save_json, PolicyKind, Table};
+use hpe_bench::{bench_config, f2, run, save_json, RunSpec, Table};
 use uvm_types::Oversubscription;
 use uvm_util::json;
 use uvm_workloads::registry;
@@ -19,8 +19,12 @@ fn main() {
     let mut json = Vec::new();
     for rate in [Oversubscription::Rate75, Oversubscription::Rate50] {
         for app in registry::all() {
-            let (r, capture) =
-                run_policy_traced(&cfg, app, rate, PolicyKind::Hpe).expect("bench run");
+            let spec = RunSpec {
+                trace: true,
+                ..RunSpec::default()
+            };
+            let out = run(&cfg, app, rate, &spec).expect("bench run");
+            let (r, capture) = (out.result, out.trace.expect("trace capture"));
             let report = r.hpe.expect("HPE report");
             if report.mruc_searches == 0 {
                 continue; // LRU for the entire execution: omitted.

@@ -5,7 +5,7 @@
 //! (its stride-4 touches waste HIR entry space, so many entries carry only
 //! a few counters each).
 
-use hpe_bench::{bench_config, f2, run_policy_traced, save_json, PolicyKind, Table};
+use hpe_bench::{bench_config, f2, run, save_json, RunSpec, Table};
 use uvm_types::Oversubscription;
 use uvm_util::json;
 use uvm_workloads::registry;
@@ -19,7 +19,12 @@ fn main() {
     );
     let mut json = Vec::new();
     for app in registry::all() {
-        let (r, capture) = run_policy_traced(&cfg, app, rate, PolicyKind::Hpe).expect("bench run");
+        let spec = RunSpec {
+            trace: true,
+            ..RunSpec::default()
+        };
+        let out = run(&cfg, app, rate, &spec).expect("bench run");
+        let (r, capture) = (out.result, out.trace.expect("trace capture"));
         let p = &r.stats.policy;
         t.row(vec![
             app.abbr().to_string(),

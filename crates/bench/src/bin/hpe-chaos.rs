@@ -34,9 +34,9 @@
 use std::process::ExitCode;
 
 use hpe_bench::{
-    bench_config, campaign, check_containment, f2, replay_repro, repro_for, run_explore, run_mix,
-    run_policy, run_policy_profiled, run_policy_recovering, save_json, MixOptions, PolicyKind,
-    RecoveryOptions, Table, CONTAINMENT_APPS,
+    bench_config, campaign, check_containment, f2, replay_repro, repro_for, run, run_explore,
+    run_mix, run_policy, save_json, MixOptions, PolicyKind, PoolOptions, RecoveryOptions,
+    RunOutput, RunSpec, Table, CONTAINMENT_APPS,
 };
 use hpe_core::{Hpe, HpeConfig};
 use uvm_sim::{
@@ -45,7 +45,7 @@ use uvm_sim::{
 };
 use uvm_types::{Oversubscription, SimError};
 use uvm_util::{json, Json, JsonError, ToJson};
-use uvm_workloads::{registry, App};
+use uvm_workloads::registry;
 
 /// Default campaign seed (the paper's publication year, for no deeper
 /// reason than reproducibility needs *some* pinned value).
@@ -264,23 +264,24 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(flags)
 }
 
-/// The named fault plans a campaign sweeps, shared with the parallel
-/// engine's [`campaign::chaos_plan_set`] (minus its clean control cell).
-/// Each derives its RNG stream from the campaign seed so the whole sweep
-/// replays from one number.
-fn campaign_plans(seed: u64) -> Vec<(String, FaultPlan)> {
-    campaign::chaos_plan_set(seed)
-        .into_iter()
-        .filter_map(|spec| spec.plan.clone().map(|plan| (spec.name, plan)))
-        .collect()
-}
-
-/// Resolves a `--plan` name against the campaign plan set.
-fn plan_by_name(name: &str, seed: u64) -> Option<FaultPlan> {
-    campaign_plans(seed)
-        .into_iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, p)| p)
+/// Resolves a `--plan` name against the named fault plans a campaign
+/// sweeps ([`campaign::chaos_plan_set`] minus its clean control cell).
+/// Each derives its RNG stream from `seed`, so a sweep replays from one
+/// number.
+fn plan_by_name(name: &str, seed: u64) -> Result<FaultPlan, CmdError> {
+    let plans = campaign::chaos_plan_set(seed);
+    let found = plans.iter().find(|p| p.name == name);
+    found.and_then(|p| p.plan.clone()).ok_or_else(|| {
+        let names: Vec<&str> = plans
+            .iter()
+            .filter(|p| p.plan.is_some())
+            .map(|p| p.name.as_str())
+            .collect();
+        CmdError::Usage(format!(
+            "unknown plan '{name}' (expected one of: {})",
+            names.join(", ")
+        ))
+    })
 }
 
 /// One (policy, plan) cell of a campaign: the chaos run compared against
@@ -359,50 +360,86 @@ impl CampaignRow {
     }
 }
 
-/// Runs `policies` x `plans` on `app` and collects one row per chaos run.
-/// This is the single-threaded path `smoke` uses; `campaign` itself goes
-/// through the parallel engine (`campaign::run_campaign`).
-fn run_campaign(
-    app: &App,
-    rate: Oversubscription,
-    policies: &[PolicyKind],
-    plans: &[(String, FaultPlan)],
-    recovery: RecoveryOptions,
-) -> Result<Vec<CampaignRow>, SimError> {
-    let cfg = bench_config();
+/// Runs `spec` on the campaign engine and pairs every chaos cell with its
+/// policy's clean cell: one row per chaos run. The spec's plan set keeps
+/// the clean control cell in the grid, so every row's baseline comes out
+/// of the same merged report.
+fn chaos_rows(spec: &campaign::CampaignSpec, workers: usize) -> Result<Vec<CampaignRow>, CmdError> {
+    let pool = PoolOptions {
+        workers,
+        ..PoolOptions::default()
+    };
+    let outcome = campaign::run_campaign(&bench_config(), spec, &pool, None)
+        .map_err(|e| CmdError::Run(e.to_string()))?;
+    let report = outcome.report().map_err(|e| CmdError::Run(e.to_string()))?;
+
     let mut rows = Vec::new();
-    for &kind in policies {
-        let clean = run_policy(&cfg, app, rate, kind)?;
-        debug_assert!(
-            !clean.stats.resilience.any(),
-            "clean run must not record injection"
-        );
-        for (plan_name, plan) in plans {
-            let chaos = run_policy_recovering(&cfg, app, rate, kind, Some(plan), recovery)?;
-            let res = &chaos.stats.resilience;
-            rows.push(CampaignRow {
-                app: clean.app.to_string(),
-                policy: clean.policy.to_string(),
-                plan: plan_name.clone(),
-                faults: chaos.stats.faults(),
-                clean_cycles: clean.stats.cycles,
-                chaos_cycles: chaos.stats.cycles,
-                injected_delay_cycles: res.injected_delay_cycles,
-                tail_latency_events: res.tail_latency_events,
-                congested_services: res.congested_services,
-                completions_lost: res.completions_lost,
-                fallback_victims: res.fallback_victims,
-                spurious_wrong_evictions: res.spurious_wrong_evictions,
-                faults_during_hir_outage: res.faults_during_hir_outage,
-                degraded_entries: chaos.stats.policy.degraded_entries,
-                degraded_faults: chaos.stats.policy.degraded_faults,
-                victims_dropped: res.victims_dropped,
-                delayed_hir_flushes: res.delayed_hir_flushes,
-                hir_flushes_lost: res.hir_flushes_lost,
-                circuit_breaker_trips: res.circuit_breaker_trips,
-                retry_attempts: res.retry_attempts,
-                retry_backoff_cycles: res.retry_backoff_cycles,
-            });
+    for abbr in &spec.apps {
+        for &kind in &spec.policies {
+            for rate in &spec.rates {
+                let rate_label = rate.label();
+                let clean = report
+                    .find(&campaign::grid_key(
+                        abbr,
+                        kind.label(),
+                        &rate_label,
+                        "clean",
+                    ))
+                    .ok_or_else(|| CmdError::Run(format!("missing clean cell for {abbr}")))?;
+                if !clean.ok {
+                    return Err(CmdError::Run(format!(
+                        "clean run failed for {abbr}/{}: {}",
+                        kind.label(),
+                        clean.error
+                    )));
+                }
+                debug_assert!(
+                    !clean.stats.resilience.any(),
+                    "clean run must not record injection"
+                );
+                for plan in spec.plans.iter().filter(|p| p.plan.is_some()) {
+                    let chaos = report
+                        .find(&campaign::grid_key(
+                            abbr,
+                            kind.label(),
+                            &rate_label,
+                            &plan.name,
+                        ))
+                        .ok_or_else(|| {
+                            CmdError::Run(format!("missing {} cell for {abbr}", plan.name))
+                        })?;
+                    if !chaos.ok {
+                        return Err(CmdError::Run(format!(
+                            "chaos run failed for {}: {}",
+                            chaos.key, chaos.error
+                        )));
+                    }
+                    let res = &chaos.stats.resilience;
+                    rows.push(CampaignRow {
+                        app: chaos.app.clone(),
+                        policy: chaos.policy.clone(),
+                        plan: plan.name.clone(),
+                        faults: chaos.stats.faults(),
+                        clean_cycles: clean.stats.cycles,
+                        chaos_cycles: chaos.stats.cycles,
+                        injected_delay_cycles: res.injected_delay_cycles,
+                        tail_latency_events: res.tail_latency_events,
+                        congested_services: res.congested_services,
+                        completions_lost: res.completions_lost,
+                        fallback_victims: res.fallback_victims,
+                        spurious_wrong_evictions: res.spurious_wrong_evictions,
+                        faults_during_hir_outage: res.faults_during_hir_outage,
+                        degraded_entries: chaos.stats.policy.degraded_entries,
+                        degraded_faults: chaos.stats.policy.degraded_faults,
+                        victims_dropped: res.victims_dropped,
+                        delayed_hir_flushes: res.delayed_hir_flushes,
+                        hir_flushes_lost: res.hir_flushes_lost,
+                        circuit_breaker_trips: res.circuit_breaker_trips,
+                        retry_attempts: res.retry_attempts,
+                        retry_backoff_cycles: res.retry_backoff_cycles,
+                    });
+                }
+            }
         }
     }
     Ok(rows)
@@ -459,8 +496,6 @@ fn cmd_campaign(flags: &Flags) -> Result<(), CmdError> {
     } else {
         flags.positional.clone()
     };
-    // The engine's plan set keeps the clean control cell in the grid, so
-    // every chaos row's baseline comes out of the same merged report.
     let spec = campaign::CampaignSpec {
         apps,
         policies: PolicyKind::ALL.to_vec(),
@@ -481,81 +516,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), CmdError> {
         flags.fallback.label(),
         flags.workers.max(1),
     );
-    let pool = campaign::PoolOptions {
-        workers: flags.workers,
-        ..campaign::PoolOptions::default()
-    };
-    let outcome = campaign::run_campaign(&bench_config(), &spec, &pool, None)
-        .map_err(|e| CmdError::Run(e.to_string()))?;
-    let report = outcome.report().map_err(|e| CmdError::Run(e.to_string()))?;
-
-    let rate_label = flags.rate.label();
-    let mut rows = Vec::new();
-    for abbr in &spec.apps {
-        for &kind in &spec.policies {
-            let clean = report
-                .find(&campaign::grid_key(
-                    abbr,
-                    kind.label(),
-                    &rate_label,
-                    "clean",
-                ))
-                .ok_or_else(|| CmdError::Run(format!("missing clean cell for {abbr}")))?;
-            if !clean.ok {
-                return Err(CmdError::Run(format!(
-                    "clean run failed for {abbr}/{}: {}",
-                    kind.label(),
-                    clean.error
-                )));
-            }
-            debug_assert!(
-                !clean.stats.resilience.any(),
-                "clean run must not record injection"
-            );
-            for plan in spec.plans.iter().filter(|p| p.plan.is_some()) {
-                let chaos = report
-                    .find(&campaign::grid_key(
-                        abbr,
-                        kind.label(),
-                        &rate_label,
-                        &plan.name,
-                    ))
-                    .ok_or_else(|| {
-                        CmdError::Run(format!("missing {} cell for {abbr}", plan.name))
-                    })?;
-                if !chaos.ok {
-                    return Err(CmdError::Run(format!(
-                        "chaos run failed for {}: {}",
-                        chaos.key, chaos.error
-                    )));
-                }
-                let res = &chaos.stats.resilience;
-                rows.push(CampaignRow {
-                    app: chaos.app.clone(),
-                    policy: chaos.policy.clone(),
-                    plan: plan.name.clone(),
-                    faults: chaos.stats.faults(),
-                    clean_cycles: clean.stats.cycles,
-                    chaos_cycles: chaos.stats.cycles,
-                    injected_delay_cycles: res.injected_delay_cycles,
-                    tail_latency_events: res.tail_latency_events,
-                    congested_services: res.congested_services,
-                    completions_lost: res.completions_lost,
-                    fallback_victims: res.fallback_victims,
-                    spurious_wrong_evictions: res.spurious_wrong_evictions,
-                    faults_during_hir_outage: res.faults_during_hir_outage,
-                    degraded_entries: chaos.stats.policy.degraded_entries,
-                    degraded_faults: chaos.stats.policy.degraded_faults,
-                    victims_dropped: res.victims_dropped,
-                    delayed_hir_flushes: res.delayed_hir_flushes,
-                    hir_flushes_lost: res.hir_flushes_lost,
-                    circuit_breaker_trips: res.circuit_breaker_trips,
-                    retry_attempts: res.retry_attempts,
-                    retry_backoff_cycles: res.retry_backoff_cycles,
-                });
-            }
-        }
-    }
+    let rows = chaos_rows(&spec, flags.workers)?;
     let total_faults: u64 = rows.iter().map(|r| r.faults).sum();
     print_campaign(
         format!(
@@ -564,7 +525,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), CmdError> {
             flags.rate.label(),
             rows.len(),
             total_faults,
-            report.fingerprint
+            spec.fingerprint()
         )
         .as_str(),
         &rows,
@@ -584,14 +545,13 @@ fn cmd_livelock(flags: &Flags) -> Result<(), CmdError> {
         flags.rate.label(),
         if flags.retry { ", retry policy on" } else { "" }
     );
-    let outcome = run_policy_recovering(
-        &cfg,
-        app,
-        flags.rate,
-        PolicyKind::Lru,
-        Some(&plan),
-        flags.recovery(),
-    );
+    let spec = RunSpec {
+        kind: PolicyKind::Lru,
+        plan: Some(plan),
+        recovery: flags.recovery(),
+        ..RunSpec::default()
+    };
+    let outcome = run(&cfg, app, flags.rate, &spec);
     match (flags.retry, outcome) {
         (false, Err(SimError::Stalled { cycle, in_flight })) => {
             println!(
@@ -633,16 +593,7 @@ fn cmd_resume(flags: &Flags) -> Result<(), CmdError> {
     let app =
         registry::by_abbr(abbr).ok_or_else(|| CmdError::Usage(format!("unknown app '{abbr}'")))?;
     let plan_name = flags.plan.as_deref().unwrap_or("signal-chaos");
-    let plan = plan_by_name(plan_name, flags.seed).ok_or_else(|| {
-        CmdError::Usage(format!(
-            "unknown plan '{plan_name}' (expected one of: {})",
-            campaign_plans(0)
-                .iter()
-                .map(|(n, _)| n.clone())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))
-    })?;
+    let plan = plan_by_name(plan_name, flags.seed)?;
 
     let cfg = bench_config();
     let trace = trace_for(&cfg, app);
@@ -701,17 +652,21 @@ fn cmd_resume(flags: &Flags) -> Result<(), CmdError> {
 }
 
 fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
-    let app = registry::by_abbr("STN").expect("STN is registered");
-    let policies = [PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Hpe];
-    let plans = campaign_plans(flags.seed);
     // The smoke gate runs with the invariant sanitizer on: a corrupted
     // residency count or broken policy structure under injection fails
     // CI as a typed InvariantViolated, not a wrong number downstream.
-    let recovery = RecoveryOptions {
-        sanitize: Some(flags.sanitize.unwrap_or(DEFAULT_SANITIZER_CADENCE)),
-        ..RecoveryOptions::default()
+    let spec = campaign::CampaignSpec {
+        apps: vec!["STN".to_string()],
+        policies: vec![PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Hpe],
+        rates: vec![Oversubscription::Rate75],
+        plans: campaign::chaos_plan_set(flags.seed),
+        recovery: RecoveryOptions {
+            sanitize: Some(flags.sanitize.unwrap_or(DEFAULT_SANITIZER_CADENCE)),
+            ..RecoveryOptions::default()
+        },
+        seed: flags.seed,
     };
-    let rows = run_campaign(app, Oversubscription::Rate75, &policies, &plans, recovery)?;
+    let rows = chaos_rows(&spec, 1)?;
     let mut injected = 0usize;
     for r in &rows {
         if r.injected_delay_cycles > 0
@@ -762,12 +717,16 @@ fn cmd_smoke(flags: &Flags) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// `sanitize`: prove the runtime invariant sanitizer is observation-only.
-/// For each app, run HPE once with the sanitizer off and once with it on
-/// (at `--sanitize` cadence) and require byte-identical `SimStats` JSON.
-fn cmd_sanitize(flags: &Flags) -> Result<(), CmdError> {
+/// Runs HPE on each app (STN and SGM by default) once plain and once with
+/// `recovery`'s observers attached, requires byte-identical `SimStats`
+/// JSON, and hands each attached run to `check` before the next app.
+fn observation_only(
+    flags: &Flags,
+    recovery: RecoveryOptions,
+    observer: &str,
+    mut check: impl FnMut(&str, RunOutput) -> Result<(), CmdError>,
+) -> Result<(), CmdError> {
     let cfg = bench_config();
-    let cadence = flags.sanitize.unwrap_or(DEFAULT_SANITIZER_CADENCE);
     let abbrs: Vec<&str> = if flags.positional.is_empty() {
         vec!["STN", "SGM"]
     } else {
@@ -777,34 +736,43 @@ fn cmd_sanitize(flags: &Flags) -> Result<(), CmdError> {
         let app = registry::by_abbr(abbr)
             .ok_or_else(|| CmdError::Usage(format!("unknown app '{abbr}'")))?;
         let off = run_policy(&cfg, app, flags.rate, PolicyKind::Hpe)?;
-        let on = run_policy_recovering(
-            &cfg,
-            app,
-            flags.rate,
-            PolicyKind::Hpe,
-            None,
-            RecoveryOptions {
-                sanitize: Some(cadence),
-                ..RecoveryOptions::default()
-            },
-        )?;
+        let spec = RunSpec {
+            recovery,
+            ..RunSpec::default()
+        };
+        let on = run(&cfg, app, flags.rate, &spec)?;
         let (a, b) = (
-            on.stats.to_json().to_string(),
+            on.result.stats.to_json().to_string(),
             off.stats.to_json().to_string(),
         );
         if a != b {
             return Err(CmdError::Run(format!(
-                "sanitizer perturbed {abbr}: stats diverged\nsanitized: {a}\nplain:     {b}"
+                "{observer} perturbed {abbr}: stats diverged\nobserved: {a}\nplain:    {b}"
             )));
         }
+        check(abbr, on)?;
+    }
+    Ok(())
+}
+
+/// `sanitize`: prove the runtime invariant sanitizer is observation-only.
+/// For each app, run HPE once with the sanitizer off and once with it on
+/// (at `--sanitize` cadence) and require byte-identical `SimStats` JSON.
+fn cmd_sanitize(flags: &Flags) -> Result<(), CmdError> {
+    let cadence = flags.sanitize.unwrap_or(DEFAULT_SANITIZER_CADENCE);
+    let recovery = RecoveryOptions {
+        sanitize: Some(cadence),
+        ..RecoveryOptions::default()
+    };
+    observation_only(flags, recovery, "sanitizer", |abbr, on| {
         println!(
             "{abbr}: {} cycles, {} faults — sanitizer (cadence {cadence}) left \
              SimStats byte-identical",
-            on.stats.cycles,
-            on.stats.faults()
+            on.result.stats.cycles,
+            on.result.stats.faults()
         );
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// `profile`: prove the cycle-attribution profiler is observation-only.
@@ -813,32 +781,16 @@ fn cmd_sanitize(flags: &Flags) -> Result<(), CmdError> {
 /// `SimStats` JSON and (b) the profiler's timeline accounts to sum exactly
 /// to the run's total cycles (the conservation law the breakdown rests on).
 fn cmd_profile(flags: &Flags) -> Result<(), CmdError> {
-    let cfg = bench_config();
-    let abbrs: Vec<&str> = if flags.positional.is_empty() {
-        vec!["STN", "SGM"]
-    } else {
-        flags.positional.iter().map(String::as_str).collect()
+    let recovery = RecoveryOptions {
+        profile: Some(DEFAULT_PROFILE_CADENCE),
+        ..RecoveryOptions::default()
     };
-    for abbr in abbrs {
-        let app = registry::by_abbr(abbr)
-            .ok_or_else(|| CmdError::Usage(format!("unknown app '{abbr}'")))?;
-        let off = run_policy(&cfg, app, flags.rate, PolicyKind::Hpe)?;
-        let (on, profile) = run_policy_profiled(
-            &cfg,
-            app,
-            flags.rate,
-            PolicyKind::Hpe,
-            DEFAULT_PROFILE_CADENCE,
-        )?;
-        let (a, b) = (
-            on.stats.to_json().to_string(),
-            off.stats.to_json().to_string(),
-        );
-        if a != b {
+    observation_only(flags, recovery, "profiler", |abbr, on| {
+        let Some(profile) = on.profile else {
             return Err(CmdError::Run(format!(
-                "profiler perturbed {abbr}: stats diverged\nprofiled: {a}\nplain:    {b}"
+                "{abbr}: the profiled run returned no profile"
             )));
-        }
+        };
         if profile.timeline_sum() != profile.total_cycles {
             return Err(CmdError::Run(format!(
                 "profiler accounts for {abbr} do not conserve: timeline sum {} vs {} total cycles",
@@ -849,12 +801,12 @@ fn cmd_profile(flags: &Flags) -> Result<(), CmdError> {
         println!(
             "{abbr}: {} cycles, {} faults — profiler left SimStats byte-identical; \
              timeline accounts conserve ({} driver-idle cycles skippable)",
-            on.stats.cycles,
-            on.stats.faults(),
+            on.result.stats.cycles,
+            on.result.stats.faults(),
             profile.driver_idle()
         );
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Loads a JSON document from `path` through a strict decoder — unknown
@@ -989,19 +941,7 @@ fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
 
     let plan = match &flags.plan {
         None => None,
-        Some(name) => Some((
-            name.clone(),
-            plan_by_name(name, flags.seed).ok_or_else(|| {
-                CmdError::Usage(format!(
-                    "unknown plan '{name}' (expected one of: {})",
-                    campaign_plans(0)
-                        .iter()
-                        .map(|(n, _)| n.clone())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            })?,
-        )),
+        Some(name) => Some((name.clone(), plan_by_name(name, flags.seed)?)),
     };
     let target = flags.target.unwrap_or(0);
 
@@ -1022,9 +962,13 @@ fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
     );
 
     let cfg = bench_config();
+    let pool = PoolOptions {
+        workers: flags.workers,
+        ..PoolOptions::default()
+    };
     let baseline_opts = MixOptions {
         policy,
-        workers: flags.workers,
+        pool: pool.clone(),
         ..MixOptions::default()
     };
     let baseline = run_mix(&cfg, &mix, &baseline_opts).map_err(|e| CmdError::Run(e.to_string()))?;
@@ -1078,8 +1022,7 @@ fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
         plan: Some(plan),
         plan_name: plan_name.clone(),
         fault_tenant: Some(target),
-        workers: flags.workers,
-        ..MixOptions::default()
+        pool,
     };
     let faulted = run_mix(&cfg, &mix, &faulted_opts).map_err(|e| CmdError::Run(e.to_string()))?;
     save_json("tenant-mix-faulted", &faulted);

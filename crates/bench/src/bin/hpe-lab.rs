@@ -26,24 +26,11 @@ use std::path::PathBuf;
 
 use hpe_bench::{
     bench_config, campaign, f2, f3, fairness_grid, geomean, perf, run_policy, save_json,
-    PolicyKind, Table,
+    PolicyKind, PoolOptions, Table,
 };
 use uvm_types::Oversubscription;
 use uvm_util::{json, Json, ToJson};
 use uvm_workloads::registry;
-
-fn parse_policy(s: &str) -> Result<PolicyKind, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "lru" => PolicyKind::Lru,
-        "random" => PolicyKind::Random,
-        "lfu" => PolicyKind::Lfu,
-        "rrip" => PolicyKind::Rrip,
-        "clockpro" | "clock-pro" => PolicyKind::ClockPro,
-        "ideal" | "belady" | "min" => PolicyKind::Ideal,
-        "hpe" => PolicyKind::Hpe,
-        other => return Err(format!("unknown policy {other:?}")),
-    })
-}
 
 fn parse_rate(s: &str) -> Result<Oversubscription, String> {
     match s {
@@ -79,7 +66,8 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match arg.as_str() {
             "--policy" => {
                 let v = it.next().ok_or("--policy needs a value")?;
-                opts.policy = parse_policy(v)?;
+                opts.policy = PolicyKind::parse(v)
+                    .ok_or_else(|| format!("unknown policy {:?}", v.to_ascii_lowercase()))?;
             }
             "--rate" => {
                 let v = it.next().ok_or("--rate needs a value")?;
@@ -317,7 +305,7 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
     if let Some(rate) = opts.rate {
         spec.rates = vec![rate];
     }
-    let pool = campaign::PoolOptions {
+    let pool = PoolOptions {
         workers: opts.workers,
         shuffle: None,
         snapshot_path: opts.snapshot.clone(),
@@ -386,18 +374,7 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
                 .collect();
             let failed = rows.iter().filter(|r| !r.ok).count();
             let faults: u64 = rows.iter().map(|r| r.stats.faults()).sum();
-            let mut slowdowns = Vec::new();
-            for app in &spec.apps {
-                let key = |p: PolicyKind| campaign::grid_key(app, p.label(), &rate_label, "clean");
-                if let (Some(run), Some(ideal)) = (
-                    report.find(&key(policy)),
-                    report.find(&key(PolicyKind::Ideal)),
-                ) {
-                    if run.ok && ideal.ok && ideal.stats.cycles > 0 {
-                        slowdowns.push(run.stats.cycles as f64 / ideal.stats.cycles as f64);
-                    }
-                }
-            }
+            let slowdowns = report.slowdowns_vs_ideal(&spec.apps, policy, &rate_label);
             t.row(vec![
                 policy.label().to_string(),
                 rate_label,

@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hpe_bench::{
-    bench_config, run_policy_profiled, run_policy_traced, traces_dir, write_jsonl, PolicyKind,
+    bench_config, run, traces_dir, write_jsonl, PolicyKind, RecoveryOptions, RunOutput, RunSpec,
     Table,
 };
 use uvm_sim::{
@@ -35,7 +35,7 @@ use uvm_sim::{
 };
 use uvm_types::Oversubscription;
 use uvm_util::{FromJson, Json, ToJson};
-use uvm_workloads::registry;
+use uvm_workloads::{registry, App};
 
 /// How a command failed, mapped onto the process exit code (the same
 /// 0/1/2 convention `hpe-chaos`, `hpe-lab` and `hpe-lint` use).
@@ -93,10 +93,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_policy(name: &str) -> Option<PolicyKind> {
-    PolicyKind::parse(name)
-}
-
 fn parse_rate(text: &str) -> Option<Oversubscription> {
     match text.trim_end_matches('%') {
         "75" => Some(Oversubscription::Rate75),
@@ -135,7 +131,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         match a.as_str() {
             "--policy" => {
                 let v = value("--policy")?;
-                flags.policy = parse_policy(&v).ok_or_else(|| format!("unknown policy '{v}'"))?;
+                flags.policy =
+                    PolicyKind::parse(&v).ok_or_else(|| format!("unknown policy '{v}'"))?;
             }
             "--rate" => {
                 let v = value("--rate")?;
@@ -184,9 +181,30 @@ fn load_events(spec: &str, flags: &Flags) -> Result<Vec<SimEvent>, CmdError> {
         flags.policy.label(),
         flags.rate.label()
     );
-    let (_, capture) = run_policy_traced(&bench_config(), app, flags.rate, flags.policy)
-        .map_err(|e| CmdError::Run(format!("{} run failed: {e}", app.abbr())))?;
-    Ok(capture.log.events().to_vec())
+    let out = live_run(app, flags, true, None)?;
+    Ok(out.trace.map_or_else(Vec::new, |c| c.log.events().to_vec()))
+}
+
+/// Runs `app` under the flags' policy and rate, with the trace sinks
+/// attached if `trace` is set and the profiler if `profile` names a
+/// cadence.
+fn live_run(
+    app: &App,
+    flags: &Flags,
+    trace: bool,
+    profile: Option<u64>,
+) -> Result<RunOutput, CmdError> {
+    let spec = RunSpec {
+        kind: flags.policy,
+        recovery: RecoveryOptions {
+            profile,
+            ..RecoveryOptions::default()
+        },
+        trace,
+        ..RunSpec::default()
+    };
+    run(&bench_config(), app, flags.rate, &spec)
+        .map_err(|e| CmdError::Run(format!("{} run failed: {e}", app.abbr())))
 }
 
 fn cmd_record(flags: &Flags) -> Result<(), CmdError> {
@@ -196,8 +214,10 @@ fn cmd_record(flags: &Flags) -> Result<(), CmdError> {
     let Some(app) = registry::by_abbr(spec) else {
         return Err(CmdError::Usage(format!("unknown app '{spec}'")));
     };
-    let (result, capture) = run_policy_traced(&bench_config(), app, flags.rate, flags.policy)
-        .map_err(|e| CmdError::Run(format!("{} run failed: {e}", app.abbr())))?;
+    let out = live_run(app, flags, true, None)?;
+    let (result, Some(capture)) = (out.result, out.trace) else {
+        return Err(CmdError::Run("the traced run captured nothing".into()));
+    };
     let path = flags.out.clone().unwrap_or_else(|| {
         traces_dir().join(format!(
             "{}-{}-{}.jsonl",
@@ -588,9 +608,9 @@ fn profiled_run(spec: &str, flags: &Flags) -> Result<ProfileReport, CmdError> {
         flags.policy.label(),
         flags.rate.label()
     );
-    let (_, profile) = run_policy_profiled(&bench_config(), app, flags.rate, flags.policy, cadence)
-        .map_err(|e| CmdError::Run(format!("{} run failed: {e}", app.abbr())))?;
-    Ok(profile)
+    live_run(app, flags, false, Some(cadence))?
+        .profile
+        .ok_or_else(|| CmdError::Run("the profiled run returned no profile".into()))
 }
 
 /// `profile`: per-account cycle breakdown plus the sampled metrics

@@ -37,17 +37,15 @@
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
+use std::path::Path;
 
 use uvm_sim::FaultPlan;
 use uvm_types::{Oversubscription, SimConfig, SimStats};
-use uvm_util::{check_unknown_fields, json, FromJson, Json, JsonError, Rng, ToJson};
+use uvm_util::{check_unknown_fields, json, FromJson, Json, JsonError, ToJson};
 use uvm_workloads::{registry, App};
 
-use crate::runner::{run_policy_recovering, PolicyKind, RecoveryOptions};
+use crate::pool::{run_indexed, PoolOptions};
+use crate::runner::{run, PolicyKind, RecoveryOptions, RunSpec};
 
 /// Snapshot cadence used when the caller does not pick one: frequent
 /// enough that a killed full-grid campaign (2 254 cells) loses at most a
@@ -318,6 +316,19 @@ struct Cell {
     plan_idx: usize,
 }
 
+impl Cell {
+    /// This cell's [`grid_key`] under `spec`.
+    fn key(&self, spec: &CampaignSpec) -> String {
+        let plan = &spec.plans[self.plan_idx].name;
+        grid_key(
+            self.app.abbr(),
+            self.policy.label(),
+            &self.rate.label(),
+            plan,
+        )
+    }
+}
+
 /// The stable grid key of a cell: `app/policy/rate/plan`.
 pub fn grid_key(app: &str, policy: &str, rate: &str, plan: &str) -> String {
     format!("{app}/{policy}/{rate}/{plan}")
@@ -439,6 +450,17 @@ impl CampaignReport {
     pub fn find(&self, key: &str) -> Option<&CampaignRun> {
         self.runs.iter().find(|r| r.key == key)
     }
+
+    /// Clean-cell slowdowns `cycles(policy) / cycles(Ideal)` at `rate`,
+    /// one for each of `apps` where both cells ran.
+    pub fn slowdowns_vs_ideal(&self, apps: &[String], policy: PolicyKind, rate: &str) -> Vec<f64> {
+        let cell = |app: &str, p: PolicyKind| self.find(&grid_key(app, p.label(), rate, "clean"));
+        apps.iter()
+            .filter_map(|app| Some((cell(app, policy)?, cell(app, PolicyKind::Ideal)?)))
+            .filter(|(run, ideal)| run.ok && ideal.ok && ideal.stats.cycles > 0)
+            .map(|(run, ideal)| run.stats.cycles as f64 / ideal.stats.cycles as f64)
+            .collect()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -547,30 +569,8 @@ impl CampaignSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Pool
+// Runs
 // ---------------------------------------------------------------------------
-
-/// Worker pool and checkpointing knobs, separate from the grid spec so
-/// that changing them can never change the merged result (they are not
-/// part of the fingerprint by construction).
-#[derive(Debug, Clone, Default)]
-pub struct PoolOptions {
-    /// Worker threads (0 and 1 both mean one worker).
-    pub workers: usize,
-    /// Shuffle the injector queue with this seed before dispatch. A test
-    /// hook: exercises arbitrary completion orders without changing the
-    /// merged report.
-    pub shuffle: Option<u64>,
-    /// Auto-snapshot file. `None` disables checkpointing.
-    pub snapshot_path: Option<PathBuf>,
-    /// Completions between auto-snapshots (0 = [`DEFAULT_SNAPSHOT_EVERY`]).
-    pub snapshot_every: usize,
-    /// Resume from `snapshot_path` if it exists (fingerprint-checked).
-    pub resume: bool,
-    /// Stop dispatching after this many completions this invocation — a
-    /// deterministic stand-in for a mid-campaign kill (tests, `--limit`).
-    pub limit: Option<usize>,
-}
 
 /// What a campaign invocation produced: all completed runs so far (grid
 /// order), plus bookkeeping about how they got there.
@@ -618,26 +618,19 @@ impl CampaignOutcome {
 /// which is what makes the merged report order-independent.
 fn execute_cell(cfg: &SimConfig, spec: &CampaignSpec, cell: Cell) -> CampaignRun {
     let plan_spec = &spec.plans[cell.plan_idx];
-    let outcome = run_policy_recovering(
-        cfg,
-        cell.app,
-        cell.rate,
-        cell.policy,
-        plan_spec.plan.as_ref(),
-        spec.recovery,
-    );
-    let (ok, error, stats) = match outcome {
-        Ok(r) => (true, String::new(), r.stats),
+    let run_spec = RunSpec {
+        kind: cell.policy,
+        plan: plan_spec.plan.clone(),
+        recovery: spec.recovery,
+        ..RunSpec::default()
+    };
+    let (ok, error, stats) = match run(cfg, cell.app, cell.rate, &run_spec) {
+        Ok(out) => (true, String::new(), out.result.stats),
         Err(e) => (false, e.to_string(), SimStats::default()),
     };
     CampaignRun {
         index: cell.index as u64,
-        key: grid_key(
-            cell.app.abbr(),
-            cell.policy.label(),
-            &cell.rate.label(),
-            &plan_spec.name,
-        ),
+        key: cell.key(spec),
         app: cell.app.abbr().to_string(),
         policy: cell.policy.label().to_string(),
         rate: cell.rate.label(),
@@ -674,13 +667,12 @@ pub fn run_campaign_serial(
     })
 }
 
-/// Runs the campaign on a scoped worker pool.
+/// Runs the campaign on the worker pool ([`run_indexed`]).
 ///
-/// Workers pull cell indices from a shared injector queue (an atomic
-/// cursor over the dispatch order) and push completed runs to the
-/// collector over a channel; the collector streams JSONL progress,
-/// auto-snapshots every [`PoolOptions::snapshot_every`] completions, and
-/// merges results by grid index.
+/// Cells are dispatched in grid order (or the pool's shuffled order).
+/// The collector streams JSONL progress, auto-snapshots every
+/// [`PoolOptions::snapshot_every`] completions, and the pool merges
+/// results by grid index.
 ///
 /// # Errors
 ///
@@ -697,11 +689,6 @@ pub fn run_campaign(
     let cells = spec.grid()?;
     let total = cells.len();
     let fingerprint = spec.fingerprint();
-    let snapshot_every = if pool.snapshot_every == 0 {
-        DEFAULT_SNAPSHOT_EVERY
-    } else {
-        pool.snapshot_every
-    };
 
     // Resume: pre-fill completed slots from the snapshot, if any.
     let mut done: Vec<Option<CampaignRun>> = vec![None; total];
@@ -724,15 +711,7 @@ pub fn run_campaign(
                 }
                 for run in snap.completed {
                     let idx = run.index as usize;
-                    let expected_key = {
-                        let c = cells[idx];
-                        grid_key(
-                            c.app.abbr(),
-                            c.policy.label(),
-                            &c.rate.label(),
-                            &spec.plans[c.plan_idx].name,
-                        )
-                    };
+                    let expected_key = cells[idx].key(spec);
                     if run.key != expected_key {
                         return Err(CampaignError::SnapshotMalformed(format!(
                             "snapshot run {} has key '{}' but the grid cell is '{expected_key}'",
@@ -746,79 +725,23 @@ pub fn run_campaign(
         }
     }
 
-    // Dispatch order over the *pending* cells: grid order, optionally
-    // shuffled (a test hook; the merge makes it unobservable).
-    let pending: Vec<Cell> = cells
-        .iter()
-        .copied()
-        .filter(|c| done[c.index].is_none())
-        .collect();
-    let mut order: Vec<usize> = (0..pending.len()).collect();
-    if let Some(seed) = pool.shuffle {
-        Rng::seed_from_u64(seed).shuffle(&mut order);
-    }
-
-    let workers = pool.workers.max(1);
-    let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let mut executed = 0usize;
-    let mut io_error: Option<CampaignError> = None;
-
-    thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<CampaignRun>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (cursor, stop, order, pending) = (&cursor, &stop, &order, &pending);
-            s.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&cell_idx) = order.get(slot) else {
-                    break;
-                };
-                let run = execute_cell(cfg, spec, pending[cell_idx]);
-                if tx.send(run).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        // Collector: arrival-ordered progress, index-ordered merge.
-        for run in rx.iter() {
-            if let Some(w) = progress.as_deref_mut() {
-                if let Err(e) = writeln!(w, "{}", run.progress_line()) {
-                    io_error.get_or_insert(CampaignError::Io(e.to_string()));
-                    stop.store(true, Ordering::Relaxed);
-                }
+    let executed = run_indexed(
+        &mut done,
+        pool,
+        |i| execute_cell(cfg, spec, cells[i]),
+        |i, done, executed| {
+            if let (Some(w), Some(run)) = (progress.as_deref_mut(), &done[i]) {
+                writeln!(w, "{}", run.progress_line())?;
             }
-            let index = run.index as usize;
-            done[index] = Some(run);
-            executed += 1;
-            let at_boundary = executed.is_multiple_of(snapshot_every);
-            let at_limit = pool.limit.is_some_and(|l| executed >= l);
-            if at_limit {
-                stop.store(true, Ordering::Relaxed);
+            match pool.snapshot_due(executed, DEFAULT_SNAPSHOT_EVERY) {
+                Some(path) => write_snapshot(path, &fingerprint, total, done),
+                None => Ok(()),
             }
-            if at_boundary || at_limit {
-                if let Some(path) = &pool.snapshot_path {
-                    if let Err(e) = write_snapshot(path, &fingerprint, total, &done) {
-                        io_error.get_or_insert(e);
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-    });
-
-    if let Some(e) = io_error {
-        return Err(e);
-    }
+        },
+    )?;
 
     // Final snapshot so a completed (or limit-stopped) campaign's file
-    // reflects everything that finished, including in-flight stragglers
-    // that completed after the stop flag was raised.
+    // reflects everything that finished.
     if let Some(path) = &pool.snapshot_path {
         write_snapshot(path, &fingerprint, total, &done)?;
     }

@@ -5,16 +5,15 @@
 //! shrinking control flow, report types. This module owns everything
 //! that needs the policy zoo and a thread pool:
 //!
-//! * building the simulation for a case (any [`PolicyKind`], boxed
-//!   behind [`Traced`] except HPE, which is run concretely so its
+//! * building the simulation for a case (any [`PolicyKind`], built by
+//!   the runner's policy builder and run concretely, so HPE's
 //!   degraded-mode state stays inspectable),
 //! * evaluating the spec's invariant set on a case — one sanitized run
 //!   shared by `completes`/`sanitizer`/`conservation`/`recovery`, plus
 //!   one extra run each for `replay` and `checkpoint`,
-//! * fanning the case list over a scoped worker pool (the campaign
-//!   engine's injector/collector pattern: an atomic cursor over the
-//!   enumeration order, results merged by case id, so the report is
-//!   **byte-identical for any worker count**),
+//! * fanning the case list over the worker pool ([`run_indexed`]:
+//!   results merged by case id, so the report is **byte-identical for
+//!   any worker count**),
 //! * shrinking failing cases serially, in enumeration order, with
 //!   [`uvm_sim::shrink_plan`] — the serial phase is what keeps the
 //!   counterexample bytes independent of worker count,
@@ -23,24 +22,18 @@
 
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 
-use hpe_core::{Hpe, HpeConfig};
-use uvm_policies::{
-    ClockPro, ClockProConfig, EvictionPolicy, Lfu, Lru, RandomPolicy, Rrip, Traced,
-};
+use uvm_policies::EvictionPolicy;
 use uvm_sim::{
-    ideal_for, shrink_plan, trace_for, Counterexample, ExploreReport, ExploreSpec, FaultPlan,
-    ReproCase, RetryPolicy, Sanitizer, SimOutcome, Simulation, TenantMix, TenantReport,
-    ALL_INVARIANTS,
+    shrink_plan, trace_for, Counterexample, ExploreReport, ExploreSpec, FaultPlan, ReproCase,
+    RetryPolicy, SimOutcome, Simulation, TenantMix, TenantReport, ALL_INVARIANTS,
 };
 use uvm_types::{Oversubscription, SimConfig, SimError, SimStats};
 use uvm_util::json;
 use uvm_workloads::{registry, App, Trace};
 
-use crate::runner::{rrip_config_for, PolicyKind};
+use crate::pool::{run_indexed, PoolOptions};
+use crate::runner::{configure, with_policy, PolicyKind, RecoveryOptions, WithPolicy};
 use crate::tenant::{check_containment, containment_mix, run_mix_serial, MixOptions};
 
 /// Clean-fault headroom after which a still-degraded HPE run counts as a
@@ -143,38 +136,46 @@ fn drive<P: EvictionPolicy>(
     }
 }
 
+/// [`Ctx::probe`]'s body: one run of the policy [`with_policy`] hands
+/// it.
+struct Probe<'c, 'a> {
+    ctx: &'c Ctx<'a>,
+    plan: &'c FaultPlan,
+    sanitize: Option<u64>,
+    interrupt: Option<u64>,
+}
+
+impl WithPolicy for Probe<'_, '_> {
+    type Output = ProbeResult;
+
+    fn call<P: EvictionPolicy + 'static>(
+        self,
+        make: &dyn Fn() -> Result<P, SimError>,
+    ) -> Result<ProbeResult, SimError> {
+        let ctx = self.ctx;
+        let recovery = RecoveryOptions {
+            retry: ctx.retry,
+            sanitize: self.sanitize,
+            ..RecoveryOptions::default()
+        };
+        let build = || -> Result<Simulation<P>, SimError> {
+            let mut sim = Simulation::new(ctx.cfg.clone(), &ctx.trace, make()?, ctx.capacity)?;
+            configure(&mut sim, Some(self.plan), recovery)?;
+            Ok(sim)
+        };
+        let out = drive(&build, self.interrupt)?;
+        Ok(ProbeResult {
+            degraded: (ctx.kind == PolicyKind::Hpe).then(|| out.policy.is_degraded()),
+            stats: out.stats,
+            hir_down: out.hir_down,
+            clean_streak: out.hir_clean_streak_faults,
+        })
+    }
+}
+
 impl Ctx<'_> {
     fn want(&self, invariant: &str) -> bool {
         self.invariants.iter().any(|i| i == invariant)
-    }
-
-    fn boxed_policy(&self) -> Box<dyn EvictionPolicy> {
-        match self.kind {
-            PolicyKind::Lru => Box::new(Lru::new()),
-            PolicyKind::Random => Box::new(RandomPolicy::seeded(self.app.seed())),
-            PolicyKind::Lfu => Box::new(Lfu::new()),
-            PolicyKind::Rrip => Box::new(Rrip::new(rrip_config_for(self.app))),
-            PolicyKind::ClockPro => Box::new(ClockPro::new(ClockProConfig::default())),
-            // Hpe is handled concretely in `probe`; Ideal is the only
-            // other policy needing per-run construction inputs.
-            PolicyKind::Ideal | PolicyKind::Hpe => Box::new(ideal_for(&self.trace)),
-        }
-    }
-
-    fn configure<P: EvictionPolicy>(
-        &self,
-        sim: &mut Simulation<P>,
-        plan: &FaultPlan,
-        sanitize: Option<u64>,
-    ) -> Result<(), SimError> {
-        sim.set_fault_plan(plan.clone())?;
-        if let Some(rp) = self.retry {
-            sim.set_retry_policy(rp)?;
-        }
-        if let Some(cadence) = sanitize {
-            sim.set_sanitizer(Sanitizer::new(cadence));
-        }
-        Ok(())
     }
 
     /// One simulation run of `plan` under this context.
@@ -184,36 +185,13 @@ impl Ctx<'_> {
         sanitize: Option<u64>,
         interrupt: Option<u64>,
     ) -> Result<ProbeResult, SimError> {
-        if self.kind == PolicyKind::Hpe {
-            let build = || -> Result<Simulation<Hpe>, SimError> {
-                let hpe = Hpe::new(HpeConfig::from_sim(self.cfg))?;
-                let mut sim = Simulation::new(self.cfg.clone(), &self.trace, hpe, self.capacity)?;
-                self.configure(&mut sim, plan, sanitize)?;
-                Ok(sim)
-            };
-            let out = drive(&build, interrupt)?;
-            Ok(ProbeResult {
-                stats: out.stats,
-                hir_down: out.hir_down,
-                clean_streak: out.hir_clean_streak_faults,
-                degraded: Some(out.policy.is_degraded()),
-            })
-        } else {
-            let build = || -> Result<Simulation<Traced<Box<dyn EvictionPolicy>>>, SimError> {
-                let policy = Traced::new(self.boxed_policy());
-                let mut sim =
-                    Simulation::new(self.cfg.clone(), &self.trace, policy, self.capacity)?;
-                self.configure(&mut sim, plan, sanitize)?;
-                Ok(sim)
-            };
-            let out = drive(&build, interrupt)?;
-            Ok(ProbeResult {
-                stats: out.stats,
-                hir_down: out.hir_down,
-                clean_streak: out.hir_clean_streak_faults,
-                degraded: None,
-            })
-        }
+        let probe = Probe {
+            ctx: self,
+            plan,
+            sanitize,
+            interrupt,
+        };
+        with_policy(self.kind, self.cfg, self.app, &self.trace, None, probe)
     }
 
     fn check_conservation(&self, base: &ProbeResult) -> Option<String> {
@@ -396,53 +374,22 @@ impl Ctx<'_> {
                 };
             }
         }
-        if let Some(broke) = broke {
-            return Verdict {
-                runs,
-                checks,
-                violation: Some(broke),
-            };
-        }
         Verdict {
             runs,
             checks,
-            violation: None,
+            violation: broke,
         }
     }
 }
 
-/// The run-context inputs shared by a spec and a repro case.
-struct CtxParams<'s> {
-    app: &'s str,
-    policy: &'s str,
-    rate: u64,
-    retry: Option<RetryPolicy>,
-    invariants: &'s [String],
-    sanitize_cadence: u64,
-    checkpoint_at: u64,
-    tenants: u64,
-    tenant_target: u64,
-    tenant_quota_pct: u64,
-}
-
-/// Builds the shared run context, resolving the app, policy and rate.
-fn context<'a>(cfg: &'a SimConfig, p: CtxParams<'_>) -> Result<Ctx<'a>, ExploreError> {
-    let CtxParams {
-        app,
-        policy,
-        rate,
-        retry,
-        invariants,
-        sanitize_cadence,
-        checkpoint_at,
-        tenants,
-        tenant_target,
-        tenant_quota_pct,
-    } = p;
+/// Builds the shared run context for `spec`, resolving the app, policy
+/// and rate.
+fn context<'a>(cfg: &'a SimConfig, spec: &ExploreSpec) -> Result<Ctx<'a>, ExploreError> {
+    let (app, policy) = (spec.app.as_str(), spec.policy.as_str());
     let app = registry::by_abbr(app).ok_or_else(|| ExploreError::UnknownApp(app.to_string()))?;
     let kind =
         PolicyKind::parse(policy).ok_or_else(|| ExploreError::UnknownPolicy(policy.to_string()))?;
-    let rate = match rate {
+    let rate = match spec.rate {
         50 => Oversubscription::Rate50,
         75 => Oversubscription::Rate75,
         other => {
@@ -453,6 +400,7 @@ fn context<'a>(cfg: &'a SimConfig, p: CtxParams<'_>) -> Result<Ctx<'a>, ExploreE
     };
     // Normalize the invariant selection into ALL_INVARIANTS order so
     // evaluation (and `checks` accounting) is canonical.
+    let invariants = spec.invariant_set();
     let ordered: Vec<String> = ALL_INVARIANTS
         .iter()
         .filter(|known| invariants.iter().any(|i| i == *known))
@@ -469,8 +417,9 @@ fn context<'a>(cfg: &'a SimConfig, p: CtxParams<'_>) -> Result<Ctx<'a>, ExploreE
     // pool starts — so verdicts stay pure per-case functions and the
     // merged report is byte-identical for any worker count.
     let wants_containment = ordered.iter().any(|i| i == "containment");
+    let (tenants, tenant_target) = (spec.tenants, spec.tenant_target);
     let (tenant_mix, tenant_baseline) = if wants_containment && tenants >= 2 {
-        let mix = containment_mix(tenants, tenant_quota_pct);
+        let mix = containment_mix(tenants, spec.tenant_quota_pct);
         mix.validate()
             .map_err(|e| ExploreError::InvalidSpec(format!("containment mix invalid: {e}")))?;
         if !mix.tenants.iter().any(|t| t.id == tenant_target) {
@@ -495,10 +444,10 @@ fn context<'a>(cfg: &'a SimConfig, p: CtxParams<'_>) -> Result<Ctx<'a>, ExploreE
         trace: trace_for(cfg, app),
         capacity: rate.capacity_pages(app.footprint_pages()),
         kind,
-        retry,
+        retry: spec.retry,
         invariants: ordered,
-        sanitize_cadence,
-        checkpoint_at,
+        sanitize_cadence: spec.sanitize_cadence,
+        checkpoint_at: spec.checkpoint_at,
         tenant_mix,
         tenant_baseline,
         tenant_target,
@@ -531,68 +480,35 @@ pub fn run_explore(
 ) -> Result<ExploreReport, ExploreError> {
     spec.validate()
         .map_err(|e| ExploreError::InvalidSpec(e.to_string()))?;
-    let ctx = context(
-        cfg,
-        CtxParams {
-            app: &spec.app,
-            policy: &spec.policy,
-            rate: spec.rate,
-            retry: spec.retry,
-            invariants: &spec.invariant_set(),
-            sanitize_cadence: spec.sanitize_cadence,
-            checkpoint_at: spec.checkpoint_at,
-            tenants: spec.tenants,
-            tenant_target: spec.tenant_target,
-            tenant_quota_pct: spec.tenant_quota_pct,
-        },
-    )?;
+    let ctx = context(cfg, spec)?;
     let (cases, skipped) = spec.cases();
     if cases.is_empty() {
         return Err(ExploreError::EmptyCaseList);
     }
 
-    // Parallel verdict phase: injector cursor over enumeration order,
-    // collector merges by case id (the campaign pool pattern).
-    let workers = workers.max(1).min(cases.len());
-    let cursor = AtomicUsize::new(0);
+    // Parallel verdict phase, merged by case id.
     let mut verdicts: Vec<Option<Verdict>> = vec![None; cases.len()];
-    let mut io_error: Option<ExploreError> = None;
-    thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, Verdict)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (cursor, ctx, cases) = (&cursor, &ctx, &cases);
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(case) = cases.get(i) else {
-                    break;
-                };
-                let verdict = ctx.verdict(&case.plan);
-                if tx.send((i, verdict)).is_err() {
-                    break;
-                }
+    let pool = PoolOptions {
+        workers,
+        ..PoolOptions::default()
+    };
+    run_indexed(
+        &mut verdicts,
+        &pool,
+        |i| ctx.verdict(&cases[i].plan),
+        |i, verdicts, _| {
+            let (Some(w), Some(verdict)) = (progress.as_deref_mut(), &verdicts[i]) else {
+                return Ok(());
+            };
+            let line = json!({
+                "id": cases[i].id,
+                "label": cases[i].label.clone(),
+                "ok": verdict.violation.is_none(),
+                "invariant": verdict.violation.as_ref().map(|(inv, _)| inv.clone()),
             });
-        }
-        drop(tx);
-        for (i, verdict) in rx.iter() {
-            if let Some(w) = progress.as_deref_mut() {
-                let line = json!({
-                    "id": cases[i].id,
-                    "label": cases[i].label.clone(),
-                    "ok": verdict.violation.is_none(),
-                    "invariant": verdict.violation.as_ref().map(|(inv, _)| inv.clone()),
-                })
-                .to_string();
-                if let Err(e) = writeln!(w, "{line}") {
-                    io_error.get_or_insert(ExploreError::Io(e.to_string()));
-                }
-            }
-            verdicts[i] = Some(verdict);
-        }
-    });
-    if let Some(e) = io_error {
-        return Err(e);
-    }
+            writeln!(w, "{line}").map_err(|e| ExploreError::Io(e.to_string()))
+        },
+    )?;
 
     let mut runs = 0u64;
     let mut invariant_checks = 0u64;
@@ -691,21 +607,21 @@ pub fn replay_repro(
         .plan
         .validate()
         .map_err(|e| ExploreError::InvalidSpec(e.to_string()))?;
-    let ctx = context(
-        cfg,
-        CtxParams {
-            app: &repro.app,
-            policy: &repro.policy,
-            rate: repro.rate,
-            retry: repro.retry,
-            invariants: std::slice::from_ref(&repro.invariant),
-            sanitize_cadence: repro.sanitize_cadence,
-            checkpoint_at: repro.checkpoint_at,
-            tenants: repro.tenants,
-            tenant_target: repro.tenant_target,
-            tenant_quota_pct: repro.tenant_quota_pct,
-        },
-    )?;
+    // The repro's context is that of the one-invariant spec it came from.
+    let spec = ExploreSpec {
+        app: repro.app.clone(),
+        policy: repro.policy.clone(),
+        rate: repro.rate,
+        invariants: vec![repro.invariant.clone()],
+        retry: repro.retry,
+        sanitize_cadence: repro.sanitize_cadence,
+        checkpoint_at: repro.checkpoint_at,
+        tenants: repro.tenants,
+        tenant_target: repro.tenant_target,
+        tenant_quota_pct: repro.tenant_quota_pct,
+        ..ExploreSpec::default()
+    };
+    let ctx = context(cfg, &spec)?;
     Ok(ctx.verdict(&repro.plan).violation)
 }
 

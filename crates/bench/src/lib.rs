@@ -17,6 +17,7 @@
 pub mod campaign;
 pub mod explore;
 pub mod perf;
+pub mod pool;
 pub mod report;
 pub mod runner;
 pub mod tenant;
@@ -24,15 +25,15 @@ pub mod tenant;
 pub use campaign::{
     chaos_plan_set, grid_key, run_campaign, run_campaign_serial, CampaignError, CampaignOutcome,
     CampaignReport, CampaignRun, CampaignSnapshot, CampaignSpec, CampaignTotals, PlanSpec,
-    PoolOptions, DEFAULT_SNAPSHOT_EVERY,
+    DEFAULT_SNAPSHOT_EVERY,
 };
 pub use explore::{replay_repro, repro_for, run_explore, ExploreError, RECOVERY_STREAK_FAULTS};
 pub use perf::{BenchSnapshot, PolicyPerf, Tolerance, Verdict, WallClock, BENCH_SCHEMA_VERSION};
+pub use pool::{run_indexed, PoolOptions};
 pub use report::{f2, f3, geomean, mean, save_json, traces_dir, write_jsonl, Table};
 pub use runner::{
-    manual_strategy_for, rrip_config_for, run_hpe_with, run_hpe_with_plan, run_policy,
-    run_policy_profiled, run_policy_recovering, run_policy_traced, run_policy_with_plan, HpeReport,
-    PolicyKind, RecoveryOptions, RunResult, TraceCapture, TRACE_CYCLE_WINDOW,
+    manual_strategy_for, rrip_config_for, run, run_policy, HpeReport, PolicyKind, RecoveryOptions,
+    RunOutput, RunResult, RunSpec, TraceCapture, TRACE_CYCLE_WINDOW,
 };
 pub use tenant::{
     check_containment, containment_mix, fairness_grid, load_snapshot, run_mix, run_mix_serial,

@@ -27,6 +27,7 @@ use uvm_types::Oversubscription;
 use uvm_util::{FromJson, Json};
 use uvm_workloads::registry;
 
+use crate::pool::PoolOptions;
 use crate::report::geomean;
 use crate::runner::{run_policy, PolicyKind};
 use crate::{bench_config, campaign};
@@ -239,9 +240,9 @@ pub fn collect(id: &str, workers: usize) -> Result<BenchSnapshot, String> {
         .map(|a| a.abbr().to_string())
         .collect();
     let spec = campaign::CampaignSpec::clean_grid(apps.clone(), BENCH_SEED);
-    let pool = campaign::PoolOptions {
+    let pool = PoolOptions {
         workers,
-        ..campaign::PoolOptions::default()
+        ..PoolOptions::default()
     };
     let outcome = campaign::run_campaign(&cfg, &spec, &pool, None)
         .map_err(|e| format!("bench campaign: {e}"))?;
@@ -257,19 +258,7 @@ pub fn collect(id: &str, workers: usize) -> Result<BenchSnapshot, String> {
 
     let mut policies = Vec::new();
     for kind in measured_policies() {
-        let mut slow = [Vec::new(), Vec::new()];
-        for (i, rate) in ["75%", "50%"].iter().enumerate() {
-            for app in &apps {
-                let key = |p: PolicyKind| campaign::grid_key(app, p.label(), rate, "clean");
-                let run = report.find(&key(kind));
-                let ideal = report.find(&key(PolicyKind::Ideal));
-                if let (Some(run), Some(ideal)) = (run, ideal) {
-                    if run.ok && ideal.ok && ideal.stats.cycles > 0 {
-                        slow[i].push(run.stats.cycles as f64 / ideal.stats.cycles as f64);
-                    }
-                }
-            }
-        }
+        let slow = ["75%", "50%"].map(|rate| report.slowdowns_vs_ideal(&apps, kind, rate));
         policies.push(PolicyPerf {
             policy: kind.label().to_string(),
             slowdown_75: geomean(&slow[0]),

@@ -1,6 +1,7 @@
 //! Shared experiment runner: one application x one policy x one
 //! oversubscription rate, on the scaled reproduction configuration.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -10,12 +11,12 @@ use uvm_policies::{
 };
 use uvm_sim::{
     ideal_for, trace_for, EventCounters, EventLog, FallbackVictim, FaultPlan, IntervalCollector,
-    IntervalKey, MultiObserver, ProfileConfig, ProfileReport, Profiler, RetryPolicy, Sanitizer,
+    IntervalKey, ProfileConfig, ProfileReport, Profiler, RetryPolicy, Sanitizer, SimEvent,
     SimObserver, Simulation, TraceHistograms,
 };
-use uvm_types::{Oversubscription, SimConfig, SimError, SimStats};
+use uvm_types::{ConfigError, Oversubscription, SimConfig, SimError, SimStats};
 use uvm_util::{json, Json, ToJson};
-use uvm_workloads::{App, PatternType};
+use uvm_workloads::{App, PatternType, Trace};
 
 /// The policies compared in the paper's evaluation (plus LFU from the
 /// related-work discussion).
@@ -58,11 +59,17 @@ impl PolicyKind {
         PolicyKind::Hpe,
     ];
 
-    /// Parses a display label case-insensitively ("hpe", "CLOCK-Pro", …).
+    /// Parses a policy name case-insensitively: a display label ("hpe",
+    /// "CLOCK-Pro", …) or one of the aliases `clockpro`, `belady` and
+    /// `min`.
     pub fn parse(text: &str) -> Option<PolicyKind> {
-        PolicyKind::ALL
-            .into_iter()
-            .find(|k| k.label().eq_ignore_ascii_case(text))
+        match text.to_ascii_lowercase().as_str() {
+            "clockpro" => Some(PolicyKind::ClockPro),
+            "belady" | "min" => Some(PolicyKind::Ideal),
+            name => PolicyKind::ALL
+                .into_iter()
+                .find(|k| k.label().eq_ignore_ascii_case(name)),
+        }
     }
 
     /// Short display label.
@@ -161,6 +168,35 @@ pub fn rrip_config_for(app: &App) -> RripConfig {
     }
 }
 
+/// Everything that shapes one run besides `(cfg, app, rate)`. The
+/// default is a plain, unobserved HPE run.
+#[derive(Debug, Clone, Default)]
+pub struct RunSpec {
+    /// The eviction policy.
+    pub kind: PolicyKind,
+    /// A custom HPE configuration (sensitivity studies, shared-HIR
+    /// tenants). `None` uses `HpeConfig::from_sim(cfg)`; `Some` needs
+    /// `kind == PolicyKind::Hpe`.
+    pub hpe: Option<HpeConfig>,
+    /// Fault-injection plan applied to the run (chaos campaigns).
+    pub plan: Option<FaultPlan>,
+    /// Driver recovery, sanitizer and profiler knobs.
+    pub recovery: RecoveryOptions,
+    /// Attach the standard trace sinks and return a [`TraceCapture`].
+    pub trace: bool,
+}
+
+/// What one [`run`] produced.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The run's result; its `stats` do not depend on what was attached.
+    pub result: RunResult,
+    /// The profile, when `recovery.profile` attached the profiler.
+    pub profile: Option<ProfileReport>,
+    /// The trace sinks' contents, when `trace` was set.
+    pub trace: Option<TraceCapture>,
+}
+
 /// Runs `app` under `kind` at `rate` using simulator configuration `cfg`.
 ///
 /// # Errors
@@ -173,151 +209,109 @@ pub fn run_policy(
     rate: Oversubscription,
     kind: PolicyKind,
 ) -> Result<RunResult, SimError> {
-    run_policy_with_plan(cfg, app, rate, kind, None)
-}
-
-/// Like [`run_policy`], with an optional fault-injection plan applied to
-/// the run (chaos campaigns).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if `cfg` or the plan is invalid, or the run cannot
-/// complete soundly — an injected unbounded livelock surfaces here as
-/// [`SimError::Stalled`].
-pub fn run_policy_with_plan(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    kind: PolicyKind,
-    plan: Option<&FaultPlan>,
-) -> Result<RunResult, SimError> {
-    run_policy_recovering(cfg, app, rate, kind, plan, RecoveryOptions::default())
-}
-
-/// Like [`run_policy_with_plan`], with explicit [`RecoveryOptions`]
-/// (driver retry/backoff and fallback victim selection).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if any configuration is invalid or the run cannot
-/// complete soundly. With a retry policy set, an unbounded injected
-/// livelock surfaces as [`SimError::RetriesExhausted`] instead of
-/// [`SimError::Stalled`].
-pub fn run_policy_recovering(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    kind: PolicyKind,
-    plan: Option<&FaultPlan>,
-    recovery: RecoveryOptions,
-) -> Result<RunResult, SimError> {
-    run_policy_inner(cfg, app, rate, kind, plan, recovery).map(|(result, _)| result)
-}
-
-/// Runs `app` under `kind` at `rate` with the cycle-attribution profiler
-/// attached, returning both the (byte-identical) result and the
-/// [`ProfileReport`]: per-account cycle breakdown, fault-lifecycle span
-/// histograms, and the metrics time series sampled every `cadence`
-/// cycles.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if `cfg` is invalid or the run cannot complete
-/// soundly.
-pub fn run_policy_profiled(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    kind: PolicyKind,
-    cadence: u64,
-) -> Result<(RunResult, ProfileReport), SimError> {
-    let recovery = RecoveryOptions {
-        profile: Some(cadence),
-        ..RecoveryOptions::default()
+    let spec = RunSpec {
+        kind,
+        ..RunSpec::default()
     };
-    let (result, profile) = run_policy_inner(cfg, app, rate, kind, None, recovery)?;
-    Ok((result, profile.expect("profiler was attached")))
+    run(cfg, app, rate, &spec).map(|out| out.result)
 }
 
-fn run_policy_inner(
+/// Runs `app` at `rate` as `spec` describes.
+///
+/// The policy runs concretely, without dynamic dispatch, unless `trace`
+/// is set: then baselines are boxed behind [`Traced`] so their victim
+/// selections are observable, while HPE emits its native decision
+/// events. The profiler, the sanitizer and tracing are all
+/// observation-only, so `result.stats` depends only on `kind`, `hpe`,
+/// `plan` and the recovery machinery.
+///
+/// # Errors
+///
+/// Returns [`SimError`] if any configuration is invalid (including a
+/// custom HPE configuration for another policy) or the run cannot
+/// complete soundly. An injected unbounded livelock surfaces as
+/// [`SimError::Stalled`], or as [`SimError::RetriesExhausted`] with a
+/// retry policy set.
+pub fn run(
     cfg: &SimConfig,
     app: &App,
     rate: Oversubscription,
-    kind: PolicyKind,
-    plan: Option<&FaultPlan>,
-    recovery: RecoveryOptions,
-) -> Result<(RunResult, Option<ProfileReport>), SimError> {
+    spec: &RunSpec,
+) -> Result<RunOutput, SimError> {
+    if spec.hpe.is_some() && spec.kind != PolicyKind::Hpe {
+        return Err(SimError::Config(ConfigError::invalid(
+            "hpe",
+            format!(
+                "a custom HPE configuration cannot run {}",
+                spec.kind.label()
+            ),
+        )));
+    }
     let trace = trace_for(cfg, app);
-    let capacity = rate.capacity_pages(app.footprint_pages());
-    let rec = recovery;
-    let (stats, hpe, profile) = match kind {
-        PolicyKind::Lru => {
-            let (s, p) = run_sim(cfg, &trace, Lru::new(), capacity, plan, rec)?;
-            (s, None, p)
-        }
-        PolicyKind::Random => {
-            let (s, p) = run_sim(
-                cfg,
-                &trace,
-                RandomPolicy::seeded(app.seed()),
-                capacity,
-                plan,
-                rec,
-            )?;
-            (s, None, p)
-        }
-        PolicyKind::Lfu => {
-            let (s, p) = run_sim(cfg, &trace, Lfu::new(), capacity, plan, rec)?;
-            (s, None, p)
-        }
-        PolicyKind::Rrip => {
-            let (s, p) = run_sim(
-                cfg,
-                &trace,
-                Rrip::new(rrip_config_for(app)),
-                capacity,
-                plan,
-                rec,
-            )?;
-            (s, None, p)
-        }
-        PolicyKind::ClockPro => {
-            let (s, p) = run_sim(
-                cfg,
-                &trace,
-                ClockPro::new(ClockProConfig::default()),
-                capacity,
-                plan,
-                rec,
-            )?;
-            (s, None, p)
-        }
-        PolicyKind::Ideal => {
-            let (s, p) = run_sim(cfg, &trace, ideal_for(&trace), capacity, plan, rec)?;
-            (s, None, p)
-        }
-        PolicyKind::Hpe => {
-            let hpe = Hpe::new(HpeConfig::from_sim(cfg))?;
-            let mut sim = Simulation::new(cfg.clone(), &trace, hpe, capacity)?;
-            configure(&mut sim, plan, rec)?;
-            let outcome = sim.run()?;
-            let report = HpeReport::from_policy(&outcome.policy);
-            (outcome.stats, Some(report), outcome.profile)
-        }
+    let sink = spec
+        .trace
+        .then(|| Rc::new(RefCell::new(TraceCapture::new(cfg))));
+    let body = RunBody {
+        cfg,
+        trace: &trace,
+        capacity: rate.capacity_pages(app.footprint_pages()),
+        spec,
+        sink: sink.clone(),
     };
-    Ok((
-        RunResult {
+    let (stats, hpe, profile) = with_policy(spec.kind, cfg, app, &trace, spec.hpe.as_ref(), body)?;
+    Ok(RunOutput {
+        result: RunResult {
             app: app.abbr(),
-            policy: kind.label(),
+            policy: spec.kind.label(),
             rate,
             stats,
             hpe,
         },
         profile,
-    ))
+        // The simulation is gone, so this is the last handle on the sink.
+        trace: sink.map(|sink| sink.replace(TraceCapture::new(cfg))),
+    })
 }
 
-fn configure<P: EvictionPolicy>(
+/// A run body generic over the policy type, so [`with_policy`] can hand
+/// it each [`PolicyKind`]'s concrete policy without boxing.
+pub(crate) trait WithPolicy {
+    /// What the body returns.
+    type Output;
+
+    /// Runs the body; `make` builds a fresh policy on every call.
+    fn call<P: EvictionPolicy + 'static>(
+        self,
+        make: &dyn Fn() -> Result<P, SimError>,
+    ) -> Result<Self::Output, SimError>;
+}
+
+/// Builds `kind`'s policy for `app` as the paper configures it and hands
+/// the builder to `body`. `hpe` overrides the HPE configuration.
+pub(crate) fn with_policy<W: WithPolicy>(
+    kind: PolicyKind,
+    cfg: &SimConfig,
+    app: &App,
+    trace: &Trace,
+    hpe: Option<&HpeConfig>,
+    body: W,
+) -> Result<W::Output, SimError> {
+    match kind {
+        PolicyKind::Lru => body.call(&|| Ok(Lru::new())),
+        PolicyKind::Random => body.call(&|| Ok(RandomPolicy::seeded(app.seed()))),
+        PolicyKind::Lfu => body.call(&|| Ok(Lfu::new())),
+        PolicyKind::Rrip => body.call(&|| Ok(Rrip::new(rrip_config_for(app)))),
+        PolicyKind::ClockPro => body.call(&|| Ok(ClockPro::new(ClockProConfig::default()))),
+        PolicyKind::Ideal => body.call(&|| Ok(ideal_for(trace))),
+        PolicyKind::Hpe => body.call(&|| {
+            let hpe_cfg = hpe.cloned().unwrap_or_else(|| HpeConfig::from_sim(cfg));
+            Ok(Hpe::new(hpe_cfg)?)
+        }),
+    }
+}
+
+/// Applies a plan and recovery options to a freshly built simulation.
+pub(crate) fn configure<P: EvictionPolicy>(
     sim: &mut Simulation<P>,
     plan: Option<&FaultPlan>,
     recovery: RecoveryOptions,
@@ -338,60 +332,53 @@ fn configure<P: EvictionPolicy>(
     Ok(())
 }
 
-/// Runs `app` under a *custom* HPE configuration (sensitivity studies).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if either configuration is invalid or the run
-/// cannot complete soundly.
-pub fn run_hpe_with(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    hpe_cfg: HpeConfig,
-) -> Result<RunResult, SimError> {
-    run_hpe_with_plan(cfg, app, rate, hpe_cfg, None)
+/// [`run`]'s body: one configured simulation of the policy it is handed.
+struct RunBody<'a> {
+    cfg: &'a SimConfig,
+    trace: &'a Trace,
+    capacity: u64,
+    spec: &'a RunSpec,
+    sink: Option<Rc<RefCell<TraceCapture>>>,
 }
 
-/// Like [`run_hpe_with`], with an optional fault-injection plan — the
-/// tenant engine uses this to run a shared-HIR (scaled-geometry) tenant
-/// with a fault plan scoped to it.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if either configuration or the plan is invalid,
-/// or the run cannot complete soundly.
-pub fn run_hpe_with_plan(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    hpe_cfg: HpeConfig,
-    plan: Option<&FaultPlan>,
-) -> Result<RunResult, SimError> {
-    let trace = trace_for(cfg, app);
-    let capacity = rate.capacity_pages(app.footprint_pages());
-    let hpe = Hpe::new(hpe_cfg)?;
-    let mut sim = Simulation::new(cfg.clone(), &trace, hpe, capacity)?;
-    if let Some(p) = plan {
-        sim.set_fault_plan(p.clone())?;
+type BodyOutput = (SimStats, Option<HpeReport>, Option<ProfileReport>);
+
+impl WithPolicy for RunBody<'_> {
+    type Output = BodyOutput;
+
+    fn call<P: EvictionPolicy + 'static>(
+        self,
+        make: &dyn Fn() -> Result<P, SimError>,
+    ) -> Result<BodyOutput, SimError> {
+        if self.sink.is_some() && self.spec.kind != PolicyKind::Hpe {
+            let boxed: Box<dyn EvictionPolicy> = Box::new(make()?);
+            return self.simulate(Traced::new(boxed));
+        }
+        self.simulate(make()?)
     }
-    let outcome = sim.run()?;
-    let report = HpeReport::from_policy(&outcome.policy);
-    Ok(RunResult {
-        app: app.abbr(),
-        policy: "HPE",
-        rate,
-        stats: outcome.stats,
-        hpe: Some(report),
-    })
 }
 
-/// Cycle-window width used by [`run_policy_traced`]'s cycle-keyed series
-/// (≈ 9 fault services on the Table I timing).
+impl RunBody<'_> {
+    fn simulate<P: EvictionPolicy + 'static>(&self, policy: P) -> Result<BodyOutput, SimError> {
+        let mut sim = Simulation::new(self.cfg.clone(), self.trace, policy, self.capacity)?;
+        configure(&mut sim, self.spec.plan.as_ref(), self.spec.recovery)?;
+        if let Some(sink) = &self.sink {
+            sim.set_observer(sink.clone());
+        }
+        let outcome = sim.run()?;
+        let hpe = (&outcome.policy as &dyn Any)
+            .downcast_ref::<Hpe>()
+            .map(HpeReport::from_policy);
+        Ok((outcome.stats, hpe, outcome.profile))
+    }
+}
+
+/// Cycle-window width of [`TraceCapture::by_cycle`] (≈ 9 fault services
+/// on the Table I timing).
 pub const TRACE_CYCLE_WINDOW: u64 = 1 << 18;
 
-/// Everything the standard trace sinks collected during one
-/// [`run_policy_traced`] run.
+/// Everything the standard trace sinks collected during one traced
+/// [`run`].
 #[derive(Debug)]
 pub struct TraceCapture {
     /// Event totals by kind.
@@ -408,6 +395,16 @@ pub struct TraceCapture {
 }
 
 impl TraceCapture {
+    fn new(cfg: &SimConfig) -> Self {
+        TraceCapture {
+            counters: EventCounters::default(),
+            by_fault: IntervalCollector::new(IntervalKey::Faults(u64::from(cfg.interval_len))),
+            by_cycle: IntervalCollector::new(IntervalKey::Cycles(TRACE_CYCLE_WINDOW)),
+            histograms: TraceHistograms::new(),
+            log: EventLog::new(),
+        }
+    }
+
     /// The capture as one JSON document (counters + both interval series
     /// + histograms; the raw log is exported separately as JSONL).
     pub fn summary_json(&self) -> Json {
@@ -420,110 +417,14 @@ impl TraceCapture {
     }
 }
 
-/// Runs `app` under `kind` at `rate` with the full trace-sink stack
-/// attached: counters, fault- and cycle-keyed interval series,
-/// histograms, and a complete event log.
-///
-/// Baselines are wrapped in [`Traced`] so their victim selections are
-/// observable; HPE emits its native decision events. Tracing is purely
-/// observational — `RunResult.stats` is identical to [`run_policy`]'s.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if `cfg` is invalid or the run cannot complete
-/// soundly.
-pub fn run_policy_traced(
-    cfg: &SimConfig,
-    app: &App,
-    rate: Oversubscription,
-    kind: PolicyKind,
-) -> Result<(RunResult, TraceCapture), SimError> {
-    let trace = trace_for(cfg, app);
-    let capacity = rate.capacity_pages(app.footprint_pages());
-
-    let counters = Rc::new(RefCell::new(EventCounters::default()));
-    let by_fault = Rc::new(RefCell::new(IntervalCollector::new(IntervalKey::Faults(
-        u64::from(cfg.interval_len),
-    ))));
-    let by_cycle = Rc::new(RefCell::new(IntervalCollector::new(IntervalKey::Cycles(
-        TRACE_CYCLE_WINDOW,
-    ))));
-    let histograms = Rc::new(RefCell::new(TraceHistograms::new()));
-    let log = Rc::new(RefCell::new(EventLog::new()));
-    let mut multi = MultiObserver::new();
-    multi.push(counters.clone());
-    multi.push(by_fault.clone());
-    multi.push(by_cycle.clone());
-    multi.push(histograms.clone());
-    multi.push(log.clone());
-    let observer: Rc<RefCell<dyn SimObserver>> = Rc::new(RefCell::new(multi));
-
-    let run_traced = |policy: Box<dyn EvictionPolicy>| -> Result<SimStats, SimError> {
-        let mut sim = Simulation::new(cfg.clone(), &trace, Traced::new(policy), capacity)?;
-        sim.set_observer(observer.clone());
-        Ok(sim.run()?.stats)
-    };
-    let (stats, hpe) = match kind {
-        PolicyKind::Lru => (run_traced(Box::new(Lru::new()))?, None),
-        PolicyKind::Random => (
-            run_traced(Box::new(RandomPolicy::seeded(app.seed())))?,
-            None,
-        ),
-        PolicyKind::Lfu => (run_traced(Box::new(Lfu::new()))?, None),
-        PolicyKind::Rrip => (run_traced(Box::new(Rrip::new(rrip_config_for(app))))?, None),
-        PolicyKind::ClockPro => (
-            run_traced(Box::new(ClockPro::new(ClockProConfig::default())))?,
-            None,
-        ),
-        PolicyKind::Ideal => (run_traced(Box::new(ideal_for(&trace)))?, None),
-        PolicyKind::Hpe => {
-            let hpe = Hpe::new(HpeConfig::from_sim(cfg))?;
-            let mut sim = Simulation::new(cfg.clone(), &trace, hpe, capacity)?;
-            sim.set_observer(observer.clone());
-            let outcome = sim.run()?;
-            let report = HpeReport::from_policy(&outcome.policy);
-            (outcome.stats, Some(report))
-        }
-    };
-
-    // The simulation was consumed above, releasing its observer handle;
-    // dropping ours releases the MultiObserver's clones of each sink.
-    drop(observer);
-    fn take<T>(rc: Rc<RefCell<T>>) -> T {
-        match Rc::try_unwrap(rc) {
-            Ok(cell) => cell.into_inner(),
-            Err(_) => panic!("sink uniquely owned after the run"),
-        }
+impl SimObserver for TraceCapture {
+    fn on_event(&mut self, event: SimEvent) {
+        self.counters.on_event(event);
+        self.by_fault.on_event(event);
+        self.by_cycle.on_event(event);
+        self.histograms.on_event(event);
+        self.log.on_event(event);
     }
-    let capture = TraceCapture {
-        counters: take(counters),
-        by_fault: take(by_fault),
-        by_cycle: take(by_cycle),
-        histograms: take(histograms),
-        log: take(log),
-    };
-    let result = RunResult {
-        app: app.abbr(),
-        policy: kind.label(),
-        rate,
-        stats,
-        hpe,
-    };
-    Ok((result, capture))
-}
-
-fn run_sim<P: EvictionPolicy>(
-    cfg: &SimConfig,
-    trace: &uvm_workloads::Trace,
-    policy: P,
-    capacity: u64,
-    plan: Option<&FaultPlan>,
-    recovery: RecoveryOptions,
-) -> Result<(SimStats, Option<ProfileReport>), SimError> {
-    let mut sim = Simulation::new(cfg.clone(), trace, policy, capacity)?;
-    configure(&mut sim, plan, recovery)?;
-    let outcome = sim.run()?;
-    Ok((outcome.stats, outcome.profile))
 }
 
 /// The strategy the paper manually assigns per application for the
@@ -533,5 +434,76 @@ pub fn manual_strategy_for(app: &App) -> StrategyKind {
     match app.abbr() {
         "KMN" | "NW" | "B+T" | "HYB" | "SPV" | "MVT" | "HWL" => StrategyKind::Lru,
         _ => StrategyKind::MruC,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bench_config;
+    use uvm_util::ToJson;
+    use uvm_workloads::registry;
+
+    #[test]
+    fn policy_names_parse_labels_and_aliases() {
+        for kind in PolicyKind::ALL {
+            assert_eq!(PolicyKind::parse(kind.label()), Some(kind));
+            let lower = kind.label().to_ascii_lowercase();
+            assert_eq!(PolicyKind::parse(&lower), Some(kind));
+        }
+        for (alias, kind) in [
+            ("clockpro", PolicyKind::ClockPro),
+            ("ClockPro", PolicyKind::ClockPro),
+            ("belady", PolicyKind::Ideal),
+            ("MIN", PolicyKind::Ideal),
+        ] {
+            assert_eq!(PolicyKind::parse(alias), Some(kind), "{alias}");
+        }
+        for unknown in ["", "belady2", "clock pro", "mru", "hpe "] {
+            assert_eq!(PolicyKind::parse(unknown), None, "{unknown:?}");
+        }
+    }
+
+    #[test]
+    fn traced_and_profiled_runs_keep_stats_and_return_their_captures() {
+        let cfg = bench_config();
+        let app = registry::by_abbr("STN").unwrap();
+        let rate = Oversubscription::Rate75;
+        for kind in [PolicyKind::Lru, PolicyKind::Hpe] {
+            let plain = run_policy(&cfg, app, rate, kind).unwrap();
+            let spec = RunSpec {
+                kind,
+                recovery: RecoveryOptions {
+                    profile: Some(1 << 18),
+                    ..RecoveryOptions::default()
+                },
+                trace: true,
+                ..RunSpec::default()
+            };
+            let out = run(&cfg, app, rate, &spec).unwrap();
+            assert_eq!(
+                out.result.stats.to_json().to_string(),
+                plain.stats.to_json().to_string(),
+                "{kind:?}"
+            );
+            let capture = out.trace.expect("trace requested");
+            assert_eq!(capture.counters.faults_raised, plain.stats.faults());
+            assert!(!capture.log.events().is_empty());
+            assert!(out.profile.is_some());
+            assert_eq!(out.result.hpe.is_some(), kind == PolicyKind::Hpe);
+        }
+    }
+
+    #[test]
+    fn custom_hpe_config_needs_the_hpe_policy() {
+        let cfg = bench_config();
+        let app = registry::by_abbr("STN").unwrap();
+        let spec = RunSpec {
+            kind: PolicyKind::Lru,
+            hpe: Some(HpeConfig::from_sim(&cfg)),
+            ..RunSpec::default()
+        };
+        let err = run(&cfg, app, Oversubscription::Rate75, &spec).unwrap_err();
+        assert!(matches!(err, SimError::Config(_)), "{err}");
     }
 }

@@ -36,10 +36,7 @@
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
+use std::path::Path;
 
 use hpe_core::HpeConfig;
 use uvm_sim::{
@@ -50,7 +47,8 @@ use uvm_types::{HirGeometry, Oversubscription, SimConfig, TenantStats};
 use uvm_util::{Json, ToJson};
 use uvm_workloads::registry;
 
-use crate::runner::{run_hpe_with_plan, run_policy_with_plan, PolicyKind};
+use crate::pool::{run_indexed, PoolOptions};
+use crate::runner::{run, PolicyKind, RunSpec};
 
 /// Default completions between auto-snapshots.
 pub const DEFAULT_TENANT_SNAPSHOT_EVERY: usize = 8;
@@ -119,15 +117,10 @@ pub struct MixOptions {
     /// error ([`TenantRunError::Sim`]), not a silent broadcast — the
     /// whole point of the tenant layer is that faults have an owner.
     pub fault_tenant: Option<u64>,
-    /// Worker threads (0 and 1 both mean one worker).
-    pub workers: usize,
-    /// Auto-snapshot file. `None` disables checkpointing.
-    pub snapshot_path: Option<PathBuf>,
-    /// Completions between auto-snapshots
-    /// (0 = [`DEFAULT_TENANT_SNAPSHOT_EVERY`]).
-    pub snapshot_every: usize,
-    /// Resume from `snapshot_path` if it exists (fingerprint-checked).
-    pub resume: bool,
+    /// Worker pool and checkpointing knobs (`snapshot_every` 0 =
+    /// [`DEFAULT_TENANT_SNAPSHOT_EVERY`]). A `limit` stop reports only
+    /// the tenants that ran.
+    pub pool: PoolOptions,
 }
 
 /// Per-slot tenant results, private to the collector. Every read and
@@ -153,9 +146,15 @@ impl MixState {
         self.slots[idx] = Some(row);
     }
 
-    /// Whether tenant `idx` already has a result (resume prefill).
-    fn is_done(&self, idx: usize) -> bool {
-        self.slots.get(idx).is_some_and(Option::is_some)
+    /// Runs every pending tenant on the pool, which writes each row into
+    /// its own slot exactly once.
+    fn run_pending<E>(
+        &mut self,
+        pool: &PoolOptions,
+        job: impl Fn(usize) -> TenantStats + Sync,
+        collect: impl FnMut(usize, &[Option<TenantStats>], usize) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        run_indexed(&mut self.slots, pool, job, collect)
     }
 
     /// Completed rows in schedule order (skips pending slots).
@@ -175,9 +174,7 @@ fn execute_tenant(
     cfg: &SimConfig,
     adm: &TenantAdmission,
     hir_mode: HirMode,
-    policy: PolicyKind,
-    plan: Option<&FaultPlan>,
-    fault_tenant: Option<u64>,
+    opts: &MixOptions,
 ) -> TenantStats {
     let spec = &adm.spec;
     let mut row = TenantStats {
@@ -202,22 +199,25 @@ fn execute_tenant(
     let fraction =
         (spec.quota_pages as f64 / app.footprint_pages() as f64).clamp(f64::MIN_POSITIVE, 1.0);
     let rate = Oversubscription::Custom(fraction);
-    let tenant_plan = match fault_tenant {
-        Some(id) if id == spec.id => plan,
+    let tenant_plan = match opts.fault_tenant {
+        Some(id) if id == spec.id => opts.plan.clone(),
         _ => None,
     };
-    let outcome = match (policy, hir_mode) {
-        (PolicyKind::Hpe, HirMode::Shared) => {
-            let mut hpe_cfg = HpeConfig::from_sim(cfg);
-            hpe_cfg.hir = shared_hir_geometry(hpe_cfg.hir, adm.concurrent);
-            run_hpe_with_plan(cfg, app, rate, hpe_cfg, tenant_plan)
-        }
-        _ => run_policy_with_plan(cfg, app, rate, policy, tenant_plan),
+    let hpe = (opts.policy == PolicyKind::Hpe && hir_mode == HirMode::Shared).then(|| {
+        let mut hpe_cfg = HpeConfig::from_sim(cfg);
+        hpe_cfg.hir = shared_hir_geometry(hpe_cfg.hir, adm.concurrent);
+        hpe_cfg
+    });
+    let run_spec = RunSpec {
+        kind: opts.policy,
+        hpe,
+        plan: tenant_plan,
+        ..RunSpec::default()
     };
-    match outcome {
-        Ok(r) => {
+    match run(cfg, app, rate, &run_spec) {
+        Ok(out) => {
             row.ok = true;
-            row.stats = r.stats;
+            row.stats = out.result.stats;
         }
         Err(e) => {
             // Contained: the failure stays on this tenant's row.
@@ -259,16 +259,7 @@ pub fn run_mix_serial(
     let rows: Vec<TenantStats> = sched
         .admissions
         .iter()
-        .map(|adm| {
-            execute_tenant(
-                cfg,
-                adm,
-                mix.hir_mode,
-                opts.policy,
-                opts.plan.as_ref(),
-                opts.fault_tenant,
-            )
-        })
+        .map(|adm| execute_tenant(cfg, adm, mix.hir_mode, opts))
         .collect();
     Ok(assemble_report(
         mix,
@@ -280,9 +271,8 @@ pub fn run_mix_serial(
     ))
 }
 
-/// Runs the mix on a scoped worker pool: workers pull schedule indices
-/// from an atomic cursor and push finished rows to the collector, which
-/// merges by index and auto-snapshots at tenant boundaries.
+/// Runs the mix on the worker pool ([`run_indexed`]), which merges rows
+/// by schedule index; the collector auto-snapshots at tenant boundaries.
 ///
 /// # Errors
 ///
@@ -299,16 +289,12 @@ pub fn run_mix(
     let sched = schedule(mix)?;
     let fingerprint = sched.fingerprint.clone();
     let total = sched.admissions.len();
-    let snapshot_every = if opts.snapshot_every == 0 {
-        DEFAULT_TENANT_SNAPSHOT_EVERY
-    } else {
-        opts.snapshot_every
-    };
+    let pool = &opts.pool;
 
     // Resume: prefill completed slots from the snapshot, if any.
     let mut state = MixState::new(total);
-    if opts.resume {
-        if let Some(path) = &opts.snapshot_path {
+    if pool.resume {
+        if let Some(path) = &pool.snapshot_path {
             if path.exists() {
                 let snap = load_snapshot(path)?;
                 if snap.fingerprint != fingerprint {
@@ -340,61 +326,16 @@ pub fn run_mix(
         }
     }
 
-    let pending: Vec<usize> = (0..total).filter(|&i| !state.is_done(i)).collect();
-    let workers = opts.workers.max(1);
-    let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let mut executed = 0usize;
-    let mut io_error: Option<TenantRunError> = None;
-
-    thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, TenantStats)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (cursor, stop, pending, sched) = (&cursor, &stop, &pending, &sched);
-            let opts = &*opts;
-            s.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&idx) = pending.get(slot) else {
-                    break;
-                };
-                let row = execute_tenant(
-                    cfg,
-                    &sched.admissions[idx],
-                    mix.hir_mode,
-                    opts.policy,
-                    opts.plan.as_ref(),
-                    opts.fault_tenant,
-                );
-                if tx.send((idx, row)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        for (idx, row) in rx.iter() {
-            state.record(idx, row);
-            executed += 1;
-            if executed.is_multiple_of(snapshot_every) {
-                if let Some(path) = &opts.snapshot_path {
-                    if let Err(e) = write_snapshot(path, &fingerprint, &state) {
-                        io_error.get_or_insert(e);
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-    });
-
-    if let Some(e) = io_error {
-        return Err(e);
-    }
-    if let Some(path) = &opts.snapshot_path {
-        write_snapshot(path, &fingerprint, &state)?;
+    state.run_pending(
+        pool,
+        |idx| execute_tenant(cfg, &sched.admissions[idx], mix.hir_mode, opts),
+        |_, slots, executed| match pool.snapshot_due(executed, DEFAULT_TENANT_SNAPSHOT_EVERY) {
+            Some(path) => write_snapshot(path, &fingerprint, slots.len(), slots.iter().flatten()),
+            None => Ok(()),
+        },
+    )?;
+    if let Some(path) = &pool.snapshot_path {
+        write_snapshot(path, &fingerprint, state.total(), &state.completed())?;
     }
     let rows = state.completed();
     Ok(assemble_report(
@@ -452,12 +393,17 @@ fn assemble_report(
     }
 }
 
-fn write_snapshot(path: &Path, fingerprint: &str, state: &MixState) -> Result<(), TenantRunError> {
+fn write_snapshot<'r>(
+    path: &Path,
+    fingerprint: &str,
+    total: usize,
+    completed: impl IntoIterator<Item = &'r TenantStats>,
+) -> Result<(), TenantRunError> {
     let snap = TenantSnapshot {
         schema: TENANT_SNAPSHOT_SCHEMA,
         fingerprint: fingerprint.to_string(),
-        total: state.total() as u64,
-        completed: state.completed(),
+        total: total as u64,
+        completed: completed.into_iter().cloned().collect(),
     };
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, snap.to_json().pretty())?;
@@ -654,7 +600,10 @@ pub fn fairness_grid(
                 mix.admission.max_active = mix.tenants.len().max(1) as u64;
                 mix.hir_mode = hir_mode;
                 let opts = MixOptions {
-                    workers,
+                    pool: PoolOptions {
+                        workers,
+                        ..PoolOptions::default()
+                    },
                     ..MixOptions::default()
                 };
                 let report = run_mix(cfg, &mix, &opts)?;
@@ -729,7 +678,10 @@ mod tests {
         let serial = run_mix_serial(&cfg, &mix, &MixOptions::default()).unwrap();
         for workers in [1usize, 2, 8] {
             let opts = MixOptions {
-                workers,
+                pool: PoolOptions {
+                    workers,
+                    ..PoolOptions::default()
+                },
                 ..MixOptions::default()
             };
             let pooled = run_mix(&cfg, &mix, &opts).unwrap();
@@ -863,8 +815,11 @@ mod tests {
         // First pass: snapshot after every tenant, then truncate the
         // snapshot to one completed row to simulate a mid-mix kill.
         let opts = MixOptions {
-            snapshot_path: Some(path.clone()),
-            snapshot_every: 1,
+            pool: PoolOptions {
+                snapshot_path: Some(path.clone()),
+                snapshot_every: 1,
+                ..PoolOptions::default()
+            },
             ..MixOptions::default()
         };
         run_mix(&cfg, &mix, &opts).unwrap();
@@ -875,8 +830,11 @@ mod tests {
         // Resume completes the remaining tenants; the merged report is
         // byte-identical to the uninterrupted run.
         let opts = MixOptions {
-            snapshot_path: Some(path.clone()),
-            resume: true,
+            pool: PoolOptions {
+                snapshot_path: Some(path.clone()),
+                resume: true,
+                ..PoolOptions::default()
+            },
             ..MixOptions::default()
         };
         let resumed = run_mix(&cfg, &mix, &opts).unwrap();
@@ -895,15 +853,21 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
         let opts = MixOptions {
-            snapshot_path: Some(path.clone()),
+            pool: PoolOptions {
+                snapshot_path: Some(path.clone()),
+                ..PoolOptions::default()
+            },
             ..MixOptions::default()
         };
         run_mix(&cfg, &mix, &opts).unwrap();
         let mut other = small_mix();
         other.seed = 99;
         let opts = MixOptions {
-            snapshot_path: Some(path.clone()),
-            resume: true,
+            pool: PoolOptions {
+                snapshot_path: Some(path.clone()),
+                resume: true,
+                ..PoolOptions::default()
+            },
             ..MixOptions::default()
         };
         let err = run_mix(&cfg, &other, &opts).unwrap_err();

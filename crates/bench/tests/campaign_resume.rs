@@ -53,10 +53,9 @@ fn killed_campaign_resumes_from_auto_snapshot_to_identical_report() {
         .to_json()
         .to_string();
 
-    // "Kill" the campaign: stop dispatch after 4 completions, with a
-    // snapshot boundary exactly there, then drop the pool. One worker
-    // keeps the completion count exact (more workers could finish an
-    // in-flight straggler after the stop flag is raised).
+    // "Kill" the campaign: dispatch only 4 cells, with a snapshot
+    // boundary exactly there. The pool enforces the limit at dispatch, so
+    // the count is exact for any worker count (see the test below).
     let killed = run_campaign(
         &cfg,
         &spec,
@@ -103,6 +102,32 @@ fn killed_campaign_resumes_from_auto_snapshot_to_identical_report() {
         reference
     );
     let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn limit_runs_exactly_that_many_cells_at_any_worker_count() {
+    let cfg = bench_config();
+    let spec = sub_grid();
+    for workers in [2, 8] {
+        let path = temp_snapshot(&format!("limit-{workers}"));
+        let killed = run_campaign(
+            &cfg,
+            &spec,
+            &PoolOptions {
+                workers,
+                snapshot_path: Some(path.clone()),
+                limit: Some(4),
+                ..PoolOptions::default()
+            },
+            None,
+        )
+        .expect("partial run");
+        assert_eq!(killed.executed, 4, "{workers} workers");
+        assert_eq!(killed.runs.len(), 4, "{workers} workers");
+        let snap = CampaignSnapshot::load(&path).expect("final snapshot");
+        assert_eq!(snap.completed.len(), 4, "{workers} workers");
+        let _ = fs::remove_file(&path);
+    }
 }
 
 #[test]

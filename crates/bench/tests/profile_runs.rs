@@ -2,28 +2,32 @@
 //! workloads, byte-identical `SimStats` with the profiler attached, and
 //! the span/series surfaces the `hpe-trace` subcommands render.
 
-use hpe_bench::{
-    bench_config, run_policy, run_policy_profiled, run_policy_recovering, PolicyKind,
-    RecoveryOptions,
-};
+use hpe_bench::{bench_config, run, run_policy, PolicyKind, RecoveryOptions, RunResult, RunSpec};
+use uvm_sim::ProfileReport;
 use uvm_sim::DEFAULT_PROFILE_CADENCE;
 use uvm_types::{CycleAccount, Oversubscription, SpanStage};
 use uvm_util::ToJson;
-use uvm_workloads::registry;
+use uvm_workloads::{registry, App};
+
+/// HPE on `app` at 75% with the profiler attached.
+fn run_profiled(app: &App) -> (RunResult, ProfileReport) {
+    let spec = RunSpec {
+        recovery: RecoveryOptions {
+            profile: Some(DEFAULT_PROFILE_CADENCE),
+            ..RecoveryOptions::default()
+        },
+        ..RunSpec::default()
+    };
+    let out = run(&bench_config(), app, Oversubscription::Rate75, &spec).unwrap();
+    (out.result, out.profile.expect("profiler attached"))
+}
 
 #[test]
 fn profiled_stn_75_accounts_conserve_and_stats_stay_identical() {
     let cfg = bench_config();
     let app = registry::by_abbr("STN").unwrap();
     let plain = run_policy(&cfg, app, Oversubscription::Rate75, PolicyKind::Hpe).unwrap();
-    let (profiled, profile) = run_policy_profiled(
-        &cfg,
-        app,
-        Oversubscription::Rate75,
-        PolicyKind::Hpe,
-        DEFAULT_PROFILE_CADENCE,
-    )
-    .unwrap();
+    let (profiled, profile) = run_profiled(app);
 
     // Observation-only: the profiler must not perturb the run.
     assert_eq!(
@@ -54,16 +58,8 @@ fn profiled_stn_75_accounts_conserve_and_stats_stay_identical() {
 
 #[test]
 fn profiled_run_reports_span_lifecycle_and_series() {
-    let cfg = bench_config();
     let app = registry::by_abbr("STN").unwrap();
-    let (result, profile) = run_policy_profiled(
-        &cfg,
-        app,
-        Oversubscription::Rate75,
-        PolicyKind::Hpe,
-        DEFAULT_PROFILE_CADENCE,
-    )
-    .unwrap();
+    let (result, profile) = run_profiled(app);
 
     // Spans: every serviced fault page opened and closed one span.
     assert!(profile.spans.opened > 0);
@@ -110,18 +106,17 @@ fn recovery_options_profile_knob_attaches_observation_only() {
     let cfg = bench_config();
     let app = registry::by_abbr("SGM").unwrap();
     let plain = run_policy(&cfg, app, Oversubscription::Rate50, PolicyKind::Lru).unwrap();
-    let profiled = run_policy_recovering(
-        &cfg,
-        app,
-        Oversubscription::Rate50,
-        PolicyKind::Lru,
-        None,
-        RecoveryOptions {
+    let spec = RunSpec {
+        kind: PolicyKind::Lru,
+        recovery: RecoveryOptions {
             profile: Some(1 << 16),
             ..RecoveryOptions::default()
         },
-    )
-    .unwrap();
+        ..RunSpec::default()
+    };
+    let profiled = run(&cfg, app, Oversubscription::Rate50, &spec)
+        .unwrap()
+        .result;
     assert_eq!(
         profiled.stats.to_json().to_string(),
         plain.stats.to_json().to_string()

@@ -13,8 +13,8 @@
 //!   `registry::by_abbr(..)` arrive shaped as free calls).
 //!
 //! Reachability runs BFS from the paper-critical roots — the
-//! simulation loop, the `MixState` accessors, and the campaign/mix
-//! worker entry points — recording parent pointers so every finding
+//! simulation loop, the `MixState` accessors, the campaign/mix entry
+//! points and the worker pool (`run_indexed`) — recording parent pointers so every finding
 //! carries its shortest call trail back to a root. Ties break on index
 //! order, which follows sorted file order, so trails are deterministic.
 
@@ -26,7 +26,7 @@ use crate::index::{CallKind, FnItem, ItemIndex};
 const ROOT_QUALIFIED: &[&str] = &["Simulation::run", "Simulation::run_until"];
 
 /// Free functions treated as reachability roots when present.
-const ROOT_FREE: &[&str] = &["run_campaign", "run_mix"];
+const ROOT_FREE: &[&str] = &["run_campaign", "run_mix", "run_indexed"];
 
 /// Every method of these types is a reachability root.
 const ROOT_IMPLS: &[&str] = &["MixState"];

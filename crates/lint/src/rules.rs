@@ -127,7 +127,8 @@ const PROFILE_ACCUM_TOKENS: &[&str] = &[
 const PROFILE_GUARD_WINDOW: usize = 40;
 
 /// Import roots that keep the workspace hermetic: the language /
-/// standard-library roots plus every workspace crate.
+/// standard-library roots plus every crate in the repository (the
+/// workspace members and the standalone `perfbench` package).
 const ALLOWED_IMPORT_ROOTS: &[&str] = &[
     "std",
     "core",
@@ -144,6 +145,7 @@ const ALLOWED_IMPORT_ROOTS: &[&str] = &[
     "hpe_core",
     "hpe_bench",
     "hpe",
+    "perfbench",
 ];
 
 /// APIs that read the wall clock or a date — nondeterministic across
@@ -433,7 +435,7 @@ fn scan_rng_taint(
 /// Panic-reachability: every hard panic site (`panic!`, `unreachable!`,
 /// `todo!`, `unimplemented!`, `.unwrap()`, `.expect(`) inside a
 /// function transitively reachable from a root (`Simulation::run`,
-/// `MixState` accessors, the campaign/mix worker entry points) is
+/// `MixState` accessors, the campaign/mix entry points, the pool) is
 /// flagged with its shortest call trail. A `lint:allow(unwrap)`
 /// annotation — the error-discipline escape hatch — also suppresses
 /// this rule, so a site justified once is justified everywhere.

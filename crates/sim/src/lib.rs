@@ -83,7 +83,7 @@ pub use tenant::{
 pub use tlb::Tlb;
 pub use trace::{
     parse_jsonl, EventCounters, IntervalCollector, IntervalKey, IntervalRow, JsonlWriter,
-    MultiObserver, TraceHistograms,
+    TraceHistograms,
 };
 
 use uvm_policies::{EvictionPolicy, Ideal, NextUseOracle};

@@ -828,7 +828,9 @@ pub struct TenantSnapshot {
     pub fingerprint: String,
     /// Total tenants in the resolved mix.
     pub total: u64,
-    /// Completed tenants, a prefix of the mix's `(arrival, id)` order.
+    /// Completed tenants, listed in the mix's `(arrival, id)` order.
+    /// With more than one worker they need not be a prefix of that
+    /// order: tenants finish out of order.
     pub completed: Vec<TenantStats>,
 }
 

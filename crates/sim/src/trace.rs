@@ -1,8 +1,8 @@
 //! Trace sinks: composable observers over the simulation event stream.
 //!
 //! Everything here implements [`SimObserver`] and can be attached to a
-//! [`Simulation`](crate::Simulation) directly or fanned out through a
-//! [`MultiObserver`]:
+//! [`Simulation`](crate::Simulation), alone or inside an observer that
+//! forwards each event to several sinks:
 //!
 //! * [`EventCounters`] — counters only, one `u64` increment per event;
 //!   the cheapest way to answer "how many of each kind".
@@ -17,69 +17,13 @@
 //! All sinks serialize through [`uvm_util::json`], so their output is
 //! deterministic for a deterministic simulation.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
-use std::rc::Rc;
 
 use uvm_types::PageId;
 use uvm_util::{json, Histogram, Json, JsonError, ToJson};
 
 use crate::observer::{SimEvent, SimObserver};
-
-/// Fans every event out to multiple observers, in attachment order.
-///
-/// # Examples
-///
-/// ```
-/// use std::cell::RefCell;
-/// use std::rc::Rc;
-/// use uvm_sim::{EventCounters, EventLog, MultiObserver, SimEvent, SimObserver};
-/// use uvm_types::PageId;
-///
-/// let log = Rc::new(RefCell::new(EventLog::new()));
-/// let counters = Rc::new(RefCell::new(EventCounters::default()));
-/// let mut multi = MultiObserver::new();
-/// multi.push(log.clone());
-/// multi.push(counters.clone());
-/// multi.on_event(SimEvent::FaultRaised { time: 1, page: PageId(7) });
-/// assert_eq!(log.borrow().fault_count(), 1);
-/// assert_eq!(counters.borrow().faults_raised, 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct MultiObserver {
-    sinks: Vec<Rc<RefCell<dyn SimObserver>>>,
-}
-
-impl MultiObserver {
-    /// Creates an empty fan-out.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sink; it receives every subsequent event.
-    pub fn push(&mut self, sink: Rc<RefCell<dyn SimObserver>>) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of attached sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether no sink is attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl SimObserver for MultiObserver {
-    fn on_event(&mut self, event: SimEvent) {
-        for sink in &self.sinks {
-            sink.borrow_mut().on_event(event);
-        }
-    }
-}
 
 /// A counters-only sink: one integer increment per event, no allocation.
 ///
@@ -632,22 +576,6 @@ mod tests {
         assert_eq!(c.total(), 11);
         let back = EventCounters::from_json(&c.to_json()).unwrap();
         assert_eq!(back, c);
-    }
-
-    #[test]
-    fn multi_observer_fans_out_in_order() {
-        let a = Rc::new(RefCell::new(EventCounters::default()));
-        let b = Rc::new(RefCell::new(crate::EventLog::new()));
-        let mut multi = MultiObserver::new();
-        assert!(multi.is_empty());
-        multi.push(a.clone());
-        multi.push(b.clone());
-        assert_eq!(multi.len(), 2);
-        for e in sample_events() {
-            multi.on_event(e);
-        }
-        assert_eq!(a.borrow().total(), 11);
-        assert_eq!(b.borrow().events().len(), 11);
     }
 
     #[test]

@@ -22,6 +22,12 @@ cargo test -q --offline
 echo "==> cargo test -q --offline --workspace (all crates)"
 cargo test -q --offline --workspace
 
+echo "==> perfbench tests (the benchmark builds against the public bench API)"
+# perfbench/ is a Cargo workspace of its own that drives the simulator
+# crates through their public functions; this stage fails as soon as an
+# API change stops it from compiling.
+CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos smoke campaign (seeded fault injection, must be panic-free)"
 cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- smoke
 cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- livelock > /dev/null
