@@ -8,7 +8,7 @@
 //! insertion in a per-page delay field and refuses to evict a page until at
 //! least `delay_threshold` faults have passed since its migration.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use uvm_types::{PageId, PolicyStats};
 
 use crate::{EvictionPolicy, FaultOutcome};
@@ -74,18 +74,60 @@ impl Default for RripConfig {
     }
 }
 
+/// Page-table marker for a page that holds no frame (never a valid slot).
+const NO_FRAME: u32 = u32::MAX;
+
+/// One occupied frame slot. A migrated page takes the slot its victim
+/// freed, as a cache fill takes the invalidated way. The victim scan
+/// prefers the lowest slot, modelling hardware RRIP's scan-from-way-0 —
+/// which is what makes a freshly migrated distant-RRPV page the immediate
+/// next victim (the paper's "instant thrashing") while a long-RRPV one is
+/// spared until aging.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    rrpv: u8,
+struct Frame {
+    page: PageId,
+    /// RRPV relative to the policy's global age: the page's RRPV is
+    /// `min(base + age, max)`, summed with wrapping arithmetic (the true
+    /// sum is never negative). Qualified frames keep the sum `<= max`.
+    base: u64,
     /// Global fault number at migration (the paper's delay field).
     delay: u64,
-    /// Frame slot: a migrated page takes the slot its victim freed, as a
-    /// cache fill takes the invalidated way. The victim scan prefers the
-    /// lowest slot, modelling hardware RRIP's scan-from-way-0 — which is
-    /// what makes a freshly migrated distant-RRPV page the immediate next
-    /// victim (the paper's "instant thrashing") while a long-RRPV one is
-    /// spared until aging.
-    slot: u32,
+    /// Still delay-blocked: queued in the FIFO, not yet in an RRPV set.
+    blocked: bool,
+}
+
+/// A set of frame slots: one bit per slot plus one summary bit per
+/// non-zero word, so the lowest member is found in a few word reads.
+#[derive(Debug, Clone, Default)]
+struct SlotSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl SlotSet {
+    fn insert(&mut self, slot: u32) {
+        let w = slot as usize / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+            self.summary.resize(w / 64 + 1, 0);
+        }
+        self.words[w] |= 1 << (slot % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    fn remove(&mut self, slot: u32) {
+        let w = slot as usize / 64;
+        self.words[w] &= !(1 << (slot % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    fn first(&self) -> Option<u32> {
+        let (i, s) = self.summary.iter().enumerate().find(|(_, s)| **s != 0)?;
+        let w = i * 64 + s.trailing_zeros() as usize;
+        Some(w as u32 * 64 + self.words[w].trailing_zeros())
+    }
 }
 
 /// RRIP-FP with the delay-field enhancement.
@@ -94,8 +136,21 @@ struct Entry {
 /// page's RRPV by one. Victim selection repeatedly ages all pages (capped
 /// increment of every RRPV) until some delay-qualified page reaches the
 /// maximum RRPV, then evicts the lowest-slot such page (the hardware
-/// scan-from-way-0 order) — implemented as a single O(n) pass computing
-/// the equivalent aging amount.
+/// scan-from-way-0 order). If every resident page is delay-blocked, the
+/// page migrated longest ago goes.
+///
+/// The model is exact but nothing scans. Pages live in a dense table
+/// indexed by frame slot, and RRPVs are stored relative to a global age,
+/// so aging everything is one addition. Delay-qualified frames sit in one
+/// bitset per RRPV; the victim is the lowest slot of the highest
+/// non-empty set. Delay-blocked frames wait in a FIFO by migration fault
+/// number and join the sets once enough faults have passed; a fault
+/// number lower than the last one re-files every frame. The policy's
+/// `search_comparisons` counts the modelled hardware scan, one frame per
+/// resident page per selection.
+///
+/// Page ids index a dense table, so memory grows with the largest page id
+/// seen; the simulator's page ids are dense in `0..footprint_pages`.
 ///
 /// # Examples
 ///
@@ -112,10 +167,22 @@ struct Entry {
 #[derive(Debug)]
 pub struct Rrip {
     cfg: RripConfig,
-    entries: HashMap<PageId, Entry>,
-    current_fault: u64,
-    next_slot: u32,
+    /// Frame records, indexed by slot; `None` for a free (or abandoned)
+    /// slot. The next never-used slot is `frames.len()`.
+    frames: Vec<Option<Frame>>,
+    /// Page id → frame slot, `NO_FRAME` if not resident.
+    page_frame: Vec<u32>,
     freed_slots: Vec<u32>,
+    resident: usize,
+    /// Global aging offset added to every frame's `base`.
+    age: u64,
+    /// Delay-qualified frames, one set per RRPV, indexed by
+    /// `base mod 2^m_bits` (so a set keeps its index as the age moves).
+    qualified: Vec<SlotSet>,
+    /// Delay-blocked frames as `(delay, slot)`, sorted by delay. Entries
+    /// whose frame has since left are skipped when reached.
+    blocked: VecDeque<(u64, u32)>,
+    current_fault: u64,
     stats: PolicyStats,
 }
 
@@ -128,16 +195,20 @@ impl Rrip {
         );
         Rrip {
             cfg,
-            entries: HashMap::new(),
-            current_fault: 0,
-            next_slot: 0,
+            frames: Vec::new(),
+            page_frame: Vec::new(),
             freed_slots: Vec::new(),
+            resident: 0,
+            age: 0,
+            qualified: vec![SlotSet::default(); 1 << cfg.m_bits],
+            blocked: VecDeque::new(),
+            current_fault: 0,
             stats: PolicyStats::default(),
         }
     }
 
     fn rrpv_max(&self) -> u8 {
-        (1u16 << self.cfg.m_bits) as u8 - 1
+        ((1u16 << self.cfg.m_bits) - 1) as u8
     }
 
     fn insertion_rrpv(&self) -> u8 {
@@ -149,12 +220,110 @@ impl Rrip {
 
     /// Number of pages the policy believes are resident.
     pub fn resident_len(&self) -> usize {
-        self.entries.len()
+        self.resident
     }
 
     /// Current RRPV of `page`, if resident (test/diagnostic accessor).
     pub fn rrpv(&self, page: PageId) -> Option<u8> {
-        self.entries.get(&page).map(|e| e.rrpv)
+        self.frame_of(page).map(|(_, f)| self.effective(f.base))
+    }
+
+    /// The slot and record of `page`'s frame, if resident.
+    fn frame_of(&self, page: PageId) -> Option<(u32, Frame)> {
+        let slot = *self.page_frame.get(page.0 as usize)?;
+        Some((slot, (*self.frames.get(slot as usize)?)?))
+    }
+
+    /// The RRPV a frame with this `base` has at the current age.
+    fn effective(&self, base: u64) -> u8 {
+        base.wrapping_add(self.age).min(u64::from(self.rrpv_max())) as u8
+    }
+
+    /// The `base` a frame of RRPV `rrpv` has at the current age.
+    fn base_for(&self, rrpv: u8) -> u64 {
+        u64::from(rrpv).wrapping_sub(self.age)
+    }
+
+    /// The qualified set holding frames of RRPV `rrpv`.
+    fn set_for(&mut self, rrpv: u8) -> &mut SlotSet {
+        let i = self.base_for(rrpv) & u64::from(self.rrpv_max());
+        &mut self.qualified[i as usize]
+    }
+
+    fn qualifies(&self, delay: u64) -> bool {
+        self.current_fault.saturating_sub(delay) >= self.cfg.delay_threshold
+    }
+
+    /// Files the frame in `slot` by its delay: into its RRPV set if
+    /// qualified (normalising `base` to the set's range), else onto the
+    /// blocked FIFO.
+    fn file(&mut self, slot: u32) {
+        let Some(mut f) = self.frames[slot as usize] else {
+            return;
+        };
+        f.blocked = !self.qualifies(f.delay);
+        if f.blocked {
+            // Only fault numbers that go backwards land before the back.
+            let at = self.blocked.partition_point(|&(delay, _)| delay <= f.delay);
+            self.blocked.insert(at, (f.delay, slot));
+        } else {
+            let rrpv = self.effective(f.base);
+            f.base = self.base_for(rrpv);
+            self.set_for(rrpv).insert(slot);
+        }
+        self.frames[slot as usize] = Some(f);
+    }
+
+    /// Rebuilds the sets and the FIFO from scratch, for when fault
+    /// numbers went backwards and qualification is no longer monotone.
+    fn refile_all(&mut self) {
+        self.qualified = vec![SlotSet::default(); self.qualified.len()];
+        self.blocked.clear();
+        for slot in 0..self.frames.len() as u32 {
+            self.file(slot);
+        }
+    }
+
+    /// Whether a FIFO entry still describes a blocked frame.
+    fn is_queued(&self, delay: u64, slot: u32) -> bool {
+        matches!(self.frames[slot as usize], Some(f) if f.blocked && f.delay == delay)
+    }
+
+    /// Moves every blocked frame whose delay has now passed into its RRPV
+    /// set, and drops stale FIFO entries on the way.
+    fn promote_qualified(&mut self) {
+        while let Some(&(delay, slot)) = self.blocked.front() {
+            if self.is_queued(delay, slot) {
+                if !self.qualifies(delay) {
+                    break;
+                }
+                self.file(slot);
+            }
+            self.blocked.pop_front();
+        }
+    }
+
+    /// The blocked frame migrated longest ago, lowest slot first.
+    fn oldest_blocked(&self) -> Option<u32> {
+        let &(oldest, _) = self.blocked.front()?;
+        self.blocked
+            .iter()
+            .take_while(|&&(delay, _)| delay == oldest)
+            .filter(|&&(delay, slot)| self.is_queued(delay, slot))
+            .map(|&(_, slot)| slot)
+            .min()
+    }
+
+    /// Empties the frame in `slot`, returning its page.
+    fn vacate(&mut self, slot: u32) -> Option<PageId> {
+        let f = self.frames[slot as usize].take()?;
+        if !f.blocked {
+            let rrpv = self.effective(f.base);
+            self.set_for(rrpv).remove(slot);
+        }
+        self.page_frame[f.page.0 as usize] = NO_FRAME;
+        self.resident -= 1;
+        Some(f.page)
     }
 }
 
@@ -170,81 +339,78 @@ impl EvictionPolicy for Rrip {
     }
 
     fn on_walk_hit(&mut self, page: PageId) {
-        if let Some(e) = self.entries.get_mut(&page) {
-            e.rrpv = e.rrpv.saturating_sub(1);
+        let Some((slot, mut f)) = self.frame_of(page) else {
+            return;
+        };
+        let rrpv = self.effective(f.base);
+        if rrpv == 0 {
+            return;
         }
+        if !f.blocked {
+            self.set_for(rrpv).remove(slot);
+            self.set_for(rrpv - 1).insert(slot);
+        }
+        f.base = self.base_for(rrpv - 1);
+        self.frames[slot as usize] = Some(f);
     }
 
     fn on_fault(&mut self, page: PageId, fault_num: u64) -> FaultOutcome {
+        let rewound = fault_num + 1 < self.current_fault;
         self.current_fault = fault_num + 1;
-        let rrpv = self.insertion_rrpv();
+        // A re-fault of a resident page moves it to a fresh slot; the old
+        // one is abandoned, not freed.
+        if let Some((old, _)) = self.frame_of(page) {
+            self.vacate(old);
+        }
         let slot = self.freed_slots.pop().unwrap_or_else(|| {
-            let s = self.next_slot;
-            self.next_slot += 1;
-            s
+            self.frames.push(None);
+            self.frames.len() as u32 - 1
         });
-        self.entries.insert(
+        let idx = page.0 as usize;
+        if idx >= self.page_frame.len() {
+            self.page_frame.resize(idx + 1, NO_FRAME);
+        }
+        self.page_frame[idx] = slot;
+        self.frames[slot as usize] = Some(Frame {
             page,
-            Entry {
-                rrpv,
-                delay: fault_num,
-                slot,
-            },
-        );
+            base: self.base_for(self.insertion_rrpv()),
+            delay: fault_num,
+            blocked: false,
+        });
+        self.resident += 1;
+        if rewound {
+            self.refile_all();
+        } else {
+            self.file(slot);
+        }
         FaultOutcome::default()
     }
 
     fn select_victim(&mut self) -> Option<PageId> {
         self.stats.selections += 1;
-        if self.entries.is_empty() {
+        if self.resident == 0 {
             return None;
         }
+        // The modelled hardware scan reads every resident frame.
+        self.stats.search_comparisons += self.resident as u64;
+        self.promote_qualified();
+        // Repeated aging first pushes the highest-RRPV qualified page to
+        // the maximum; the scan then takes the lowest slot among those.
         let max = self.rrpv_max();
-        // Among delay-qualified pages, repeated aging would first push the
-        // page with the highest RRPV to the maximum; the hardware scan
-        // then takes the lowest frame slot among those. One pass finds
-        // that page directly.
-        let mut best: Option<(u8, std::cmp::Reverse<u32>, PageId)> = None;
-        let mut blocked_best: Option<(u64, u32, PageId)> = None;
-        // lint:allow(hash-iteration) — total-order reduction, ties broken by slot/page
-        for (&page, e) in &self.entries {
-            self.stats.search_comparisons += 1;
-            if self.current_fault.saturating_sub(e.delay) >= self.cfg.delay_threshold {
-                let cand = (e.rrpv, std::cmp::Reverse(e.slot), page);
-                best = Some(match best {
-                    // Higher RRPV wins; then lower slot.
-                    None => cand,
-                    Some(b) if (cand.0, cand.1) > (b.0, b.1) => cand,
-                    Some(b) => b,
-                });
-            } else {
-                let cand = (e.delay, e.slot, page);
-                blocked_best = Some(match blocked_best {
-                    None => cand,
-                    Some(b) if cand < b => cand,
-                    Some(b) => b,
-                });
-            }
-        }
-        let victim = match best {
-            Some((rrpv, _, page)) => {
-                // Apply the equivalent aging so post-eviction state matches
-                // the iterative algorithm.
-                let aging = max - rrpv;
-                if aging > 0 {
-                    // lint:allow(hash-iteration) — uniform aging, order-free
-                    for e in self.entries.values_mut() {
-                        e.rrpv = (e.rrpv + aging).min(max);
-                    }
-                }
-                page
+        let best = (0..=max)
+            .rev()
+            .find_map(|rrpv| self.set_for(rrpv).first().map(|slot| (rrpv, slot)));
+        let slot = match best {
+            Some((rrpv, slot)) => {
+                self.age += u64::from(max - rrpv);
+                slot
             }
             // Every resident page is delay-blocked: fall back to the page
             // migrated longest ago.
-            None => blocked_best.expect("entries nonempty").2, // lint:allow(unwrap) — best.is_none() implies every entry went to blocked_best
+            None => self.oldest_blocked()?,
         };
-        let freed = self.entries.remove(&victim).expect("victim exists").slot; // lint:allow(unwrap) — victim drawn from entries just above
-        self.freed_slots.push(freed);
+        let victim = self.vacate(slot)?;
+        self.freed_slots.push(slot);
         Some(victim)
     }
 
@@ -370,6 +536,22 @@ mod tests {
             faults < 32 * 12,
             "distant RRIP should not miss every reference, got {faults}"
         );
+    }
+
+    #[test]
+    fn widest_register_ages_without_wrapping() {
+        // m_bits = 8: RRPV saturates at 255, and aging a blocked page that
+        // already sits there must leave it at 255, not wrap it to 0.
+        let mut rrip = Rrip::new(RripConfig {
+            m_bits: 8,
+            insertion: RripInsertion::Distant,
+            delay_threshold: 5,
+        });
+        rrip.on_fault(PageId(1), 0);
+        rrip.on_walk_hit(PageId(1));
+        rrip.on_fault(PageId(2), 10);
+        assert_eq!(rrip.select_victim(), Some(PageId(1)));
+        assert_eq!(rrip.rrpv(PageId(2)), Some(255));
     }
 
     #[test]

@@ -52,6 +52,10 @@ fn policies() -> Vec<Box<dyn EvictionPolicy>> {
         Box::new(Lfu::new()),
         Box::new(Rrip::new(RripConfig::default())),
         Box::new(Rrip::new(RripConfig::for_thrashing())),
+        Box::new(Rrip::new(RripConfig {
+            m_bits: 8,
+            ..RripConfig::for_thrashing()
+        })),
         Box::new(Clock::new()),
         Box::new(WsClock::new(WsClockConfig { tau: 64 })),
         Box::new(ClockPro::new(ClockProConfig { m_c: 8 })),

@@ -654,12 +654,13 @@ impl<P: EvictionPolicy> Simulation<P> {
                 latency += u64::from(self.cfg.page_walk_cycles);
                 walked = true;
                 self.stats.walks += 1;
+                let hit = self.memory.is_resident(op.page);
                 self.emit(SimEvent::PageWalk {
                     time: self.now,
                     page: op.page,
-                    hit: self.memory.is_resident(op.page),
+                    hit,
                 });
-                if self.memory.is_resident(op.page) {
+                if hit {
                     self.stats.walk_hits += 1;
                     self.policy.on_walk_hit(op.page);
                     self.l2.fill(op.page);
@@ -923,7 +924,7 @@ impl<P: EvictionPolicy> Simulation<P> {
         }
 
         let mut outcome = uvm_policies::FaultOutcome::default();
-        for (i, &p) in self.in_flight.clone().iter().enumerate() {
+        for (i, &p) in self.in_flight.iter().enumerate() {
             // Batched demand faults get distinct fault numbers; prefetched
             // pages ride on the last demand number.
             let n = fault_num + (i as u64).min(demand_count - 1);

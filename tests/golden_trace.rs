@@ -112,6 +112,24 @@ fn golden_rrip() {
 }
 
 #[test]
+fn golden_rrip_thrashing() {
+    // The type II configuration: distant insertion behind a 128-fault
+    // delay field, so victim selection runs through the delay-blocked path
+    // that the default configuration never takes.
+    golden(
+        "RRIP(thrashing)",
+        &|_| Box::new(Rrip::new(RripConfig::for_thrashing())),
+        r#"{"cycles":129024028,"instructions":27648,"mem_accesses":4608,"walks":9216,"walk_hits":4608,"tlb":{"l1_hits":0,"l1_misses":9216,"l2_hits":0,"l2_misses":9216},"driver":{"busy_cycles":129024000,"faults_serviced":4608,"evictions":4032,"wrong_evictions":0,"hit_transfer_cycles":0,"prefetched_pages":0},"policy":{"selections":4032,"search_comparisons":2322432,"hir_flushes":0,"hir_entries_transferred":0,"hir_conflict_evictions":0,"strategy_switches":0,"intervals_lru":0,"intervals_mruc":0,"page_sets_divided":0,"degraded_entries":0,"degraded_faults":0,"late_flushes_applied":0,"stale_flushes_dropped":0,"suspended_flushes":0},"resilience":{"fallback_victims":0,"injected_delay_cycles":0,"tail_latency_events":0,"congested_services":0,"completions_lost":0,"faults_during_hir_outage":0,"spurious_wrong_evictions":0,"hir_flushes_lost":0,"wasted_flush_cycles":0,"circuit_breaker_trips":0,"delayed_hir_flushes":0,"retry_attempts":0,"retry_backoff_cycles":0,"victims_dropped":0}}"#,
+    );
+    golden_app(
+        "RRIP(thrashing)/SGM",
+        APP_TYPE_V,
+        &|_| Box::new(Rrip::new(RripConfig::for_thrashing())),
+        r#"{"cycles":157696029,"instructions":39424,"mem_accesses":5632,"walks":11264,"walk_hits":5632,"tlb":{"l1_hits":0,"l1_misses":11264,"l2_hits":0,"l2_misses":11264},"driver":{"busy_cycles":157696000,"faults_serviced":5632,"evictions":4288,"wrong_evictions":3072,"hit_transfer_cycles":0,"prefetched_pages":0},"policy":{"selections":4288,"search_comparisons":5763072,"hir_flushes":0,"hir_entries_transferred":0,"hir_conflict_evictions":0,"strategy_switches":0,"intervals_lru":0,"intervals_mruc":0,"page_sets_divided":0,"degraded_entries":0,"degraded_faults":0,"late_flushes_applied":0,"stale_flushes_dropped":0,"suspended_flushes":0},"resilience":{"fallback_victims":0,"injected_delay_cycles":0,"tail_latency_events":0,"congested_services":0,"completions_lost":0,"faults_during_hir_outage":0,"spurious_wrong_evictions":0,"hir_flushes_lost":0,"wasted_flush_cycles":0,"circuit_breaker_trips":0,"delayed_hir_flushes":0,"retry_attempts":0,"retry_backoff_cycles":0,"victims_dropped":0}}"#,
+    );
+}
+
+#[test]
 fn golden_clockpro() {
     golden(
         "CLOCK-Pro",

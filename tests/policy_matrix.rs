@@ -21,6 +21,10 @@ fn policies() -> Vec<Box<dyn EvictionPolicy>> {
         Box::new(WsClock::new(WsClockConfig::default())),
         Box::new(Rrip::new(RripConfig::default())),
         Box::new(Rrip::new(RripConfig::for_thrashing())),
+        Box::new(Rrip::new(RripConfig {
+            m_bits: 8,
+            ..RripConfig::for_thrashing()
+        })),
         Box::new(ClockPro::new(ClockProConfig::default())),
         Box::new(Bip::new()),
         Box::new(Dip::new()),
