@@ -130,14 +130,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_rate(text: &str) -> Option<Oversubscription> {
-    match text.trim_end_matches('%') {
-        "75" => Some(Oversubscription::Rate75),
-        "50" => Some(Oversubscription::Rate50),
-        _ => None,
-    }
-}
-
 struct Flags {
     seed: u64,
     rate: Oversubscription,
@@ -207,7 +199,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--rate" => {
                 let v = value("--rate")?;
-                flags.rate = parse_rate(&v).ok_or_else(|| format!("unknown rate '{v}'"))?;
+                flags.rate =
+                    Oversubscription::parse(&v).ok_or_else(|| format!("unknown rate '{v}'"))?;
             }
             "--retry" => flags.retry = true,
             // --adaptive implies --retry: there is no backoff to adapt
@@ -962,13 +955,9 @@ fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
     );
 
     let cfg = bench_config();
-    let pool = PoolOptions {
-        workers: flags.workers,
-        ..PoolOptions::default()
-    };
     let baseline_opts = MixOptions {
         policy,
-        pool: pool.clone(),
+        workers: flags.workers,
         ..MixOptions::default()
     };
     let baseline = run_mix(&cfg, &mix, &baseline_opts).map_err(|e| CmdError::Run(e.to_string()))?;
@@ -1022,7 +1011,7 @@ fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
         plan: Some(plan),
         plan_name: plan_name.clone(),
         fault_tenant: Some(target),
-        pool,
+        workers: flags.workers,
     };
     let faulted = run_mix(&cfg, &mix, &faulted_opts).map_err(|e| CmdError::Run(e.to_string()))?;
     save_json("tenant-mix-faulted", &faulted);

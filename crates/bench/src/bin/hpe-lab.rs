@@ -7,8 +7,8 @@
 //! hpe-lab compare <APP> [--rate ...]        # all policies side by side
 //! hpe-lab sweep <APP> [--policy ...]        # capacity sweep 95%..40%
 //! hpe-lab profile <APP>                     # access-pattern profile
-//! hpe-lab campaign [APP ...] [--workers N] [--chaos] [--snapshot FILE]
-//!                  [--resume] [--progress FILE]   # parallel grid sweep
+//! hpe-lab campaign [APP ...] [--workers N] [--chaos] [--progress FILE]
+//!                  [--snapshot FILE [--resume]]   # parallel grid sweep
 //! hpe-lab bench-snapshot [--workers N]      # record the next BENCH_*.json
 //! hpe-lab bench-check [--workers N]         # regression gate vs the last one
 //! hpe-lab fairness [--workers N] [--seed N] # per-tenant vs shared HIR:
@@ -32,21 +32,20 @@ use uvm_types::Oversubscription;
 use uvm_util::{json, Json, ToJson};
 use uvm_workloads::registry;
 
+/// A paper rate (`75`, `50`, with or without `%`), else a custom
+/// percentage in `(0, 100]`.
 fn parse_rate(s: &str) -> Result<Oversubscription, String> {
-    match s {
-        "75" => Ok(Oversubscription::Rate75),
-        "50" => Ok(Oversubscription::Rate50),
-        other => {
-            let pct: f64 = other
-                .trim_end_matches('%')
-                .parse()
-                .map_err(|_| format!("bad rate {other:?}"))?;
-            if !(0.0..=100.0).contains(&pct) || pct == 0.0 {
-                return Err(format!("rate {pct} out of range (0, 100]"));
-            }
-            Ok(Oversubscription::Custom(pct / 100.0))
-        }
+    if let Some(rate) = Oversubscription::parse(s) {
+        return Ok(rate);
     }
+    let pct: f64 = s
+        .trim_end_matches('%')
+        .parse()
+        .map_err(|_| format!("bad rate {s:?}"))?;
+    if !(0.0..=100.0).contains(&pct) || pct == 0.0 {
+        return Err(format!("rate {pct} out of range (0, 100]"));
+    }
+    Ok(Oversubscription::Custom(pct / 100.0))
 }
 
 struct Opts {
@@ -224,7 +223,7 @@ struct CampaignOpts {
     rate: Option<Oversubscription>,
     progress: Option<PathBuf>,
     snapshot: Option<PathBuf>,
-    snapshot_every: usize,
+    snapshot_every: Option<usize>,
     resume: bool,
     limit: Option<usize>,
 }
@@ -238,7 +237,7 @@ fn parse_campaign_opts(args: &[String]) -> Result<CampaignOpts, String> {
         rate: None,
         progress: None,
         snapshot: None,
-        snapshot_every: 0,
+        snapshot_every: None,
         resume: false,
         limit: None,
     };
@@ -271,9 +270,10 @@ fn parse_campaign_opts(args: &[String]) -> Result<CampaignOpts, String> {
             "--snapshot" => opts.snapshot = Some(PathBuf::from(value("--snapshot")?)),
             "--snapshot-every" => {
                 let v = value("--snapshot-every")?;
-                opts.snapshot_every = v
-                    .parse()
-                    .map_err(|_| format!("bad --snapshot-every {v:?}"))?;
+                opts.snapshot_every = Some(
+                    v.parse()
+                        .map_err(|_| format!("bad --snapshot-every {v:?}"))?,
+                );
             }
             "--resume" => opts.resume = true,
             "--limit" => {
@@ -283,6 +283,9 @@ fn parse_campaign_opts(args: &[String]) -> Result<CampaignOpts, String> {
             other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
             other => opts.apps.push(other.to_string()),
         }
+    }
+    if opts.snapshot.is_none() && (opts.resume || opts.snapshot_every.is_some()) {
+        return Err("--resume and --snapshot-every need --snapshot FILE".to_string());
     }
     Ok(opts)
 }
@@ -309,7 +312,7 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
         workers: opts.workers,
         shuffle: None,
         snapshot_path: opts.snapshot.clone(),
-        snapshot_every: opts.snapshot_every,
+        snapshot_every: opts.snapshot_every.unwrap_or(0),
         resume: opts.resume,
         limit: opts.limit,
     };
@@ -336,12 +339,16 @@ fn cmd_campaign(opts: &CampaignOpts) -> Result<(), CliError> {
         .map_err(|e| CliError::Run(e.to_string()))?;
     if !outcome.is_complete() {
         println!(
-            "campaign stopped at --limit: {}/{} cells done ({} resumed, {} executed); \
-             snapshot holds the completed cells",
+            "campaign stopped at --limit: {}/{} cells done ({} resumed, {} executed); {}",
             outcome.runs.len(),
             outcome.total,
             outcome.resumed,
-            outcome.executed
+            outcome.executed,
+            if opts.snapshot.is_some() {
+                "snapshot holds the completed cells"
+            } else {
+                "no --snapshot given, so the completed cells were not saved"
+            }
         );
         return Ok(());
     }

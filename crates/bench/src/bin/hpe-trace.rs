@@ -93,14 +93,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_rate(text: &str) -> Option<Oversubscription> {
-    match text.trim_end_matches('%') {
-        "75" => Some(Oversubscription::Rate75),
-        "50" => Some(Oversubscription::Rate50),
-        _ => None,
-    }
-}
-
 /// Common `--policy` / `--rate` / `--out` / `--window` / `--cadence`
 /// flags.
 struct Flags {
@@ -136,7 +128,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--rate" => {
                 let v = value("--rate")?;
-                flags.rate = parse_rate(&v).ok_or_else(|| format!("unknown rate '{v}'"))?;
+                flags.rate =
+                    Oversubscription::parse(&v).ok_or_else(|| format!("unknown rate '{v}'"))?;
             }
             "--out" => flags.out = Some(PathBuf::from(value("--out")?)),
             "--window" => {

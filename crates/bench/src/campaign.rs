@@ -41,7 +41,7 @@ use std::path::Path;
 
 use uvm_sim::FaultPlan;
 use uvm_types::{Oversubscription, SimConfig, SimStats};
-use uvm_util::{check_unknown_fields, json, FromJson, Json, JsonError, ToJson};
+use uvm_util::{check_unknown_fields, fnv1a, json, FromJson, Json, JsonError, ToJson};
 use uvm_workloads::{registry, App};
 
 use crate::pool::{run_indexed, PoolOptions};
@@ -233,7 +233,16 @@ impl CampaignSpec {
             .iter()
             .map(|p| p.label().to_string())
             .collect();
-        let rates: Vec<String> = self.rates.iter().map(|r| r.label()).collect();
+        // Paper rates hash by label; a custom rate hashes by its exact
+        // fraction, because its label rounds to whole percent.
+        let rates: Vec<Json> = self
+            .rates
+            .iter()
+            .map(|r| match r {
+                Oversubscription::Custom(_) => r.to_json(),
+                _ => Json::Str(r.label()),
+            })
+            .collect();
         let plans: Vec<Json> = self
             .plans
             .iter()
@@ -291,18 +300,6 @@ impl CampaignSpec {
         }
         Ok(cells)
     }
-}
-
-/// FNV-1a, 64-bit: a tiny deterministic digest for spec fingerprints
-/// (collision resistance is not a goal; catching accidental spec drift
-/// across a kill/resume is).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One enumerated grid cell (internal: `&'static App` keeps workers free
@@ -733,7 +730,7 @@ pub fn run_campaign(
             if let (Some(w), Some(run)) = (progress.as_deref_mut(), &done[i]) {
                 writeln!(w, "{}", run.progress_line())?;
             }
-            match pool.snapshot_due(executed, DEFAULT_SNAPSHOT_EVERY) {
+            match pool.snapshot_due(executed) {
                 Some(path) => write_snapshot(path, &fingerprint, total, done),
                 None => Ok(()),
             }
@@ -784,6 +781,35 @@ mod tests {
             recovery: RecoveryOptions::default(),
             seed: 7,
         }
+    }
+
+    #[test]
+    fn paper_grid_fingerprints_are_pinned() {
+        // Recorded before custom rates were hashed by exact fraction: the
+        // paper-rate entries must hash exactly as they did, or every
+        // existing snapshot would be refused on resume.
+        assert_eq!(
+            CampaignSpec::full_grid(2019).fingerprint(),
+            "7474c8dc1982a4a6"
+        );
+        let clean = CampaignSpec::clean_grid(vec!["STN".to_string()], 2019);
+        assert_eq!(clean.fingerprint(), "3d3932aae6a6b90f");
+    }
+
+    #[test]
+    fn custom_rates_fingerprint_by_exact_fraction() {
+        // 75.1% and 75% share the label "75%" but not the capacity.
+        let with_rate = |rate| CampaignSpec {
+            rates: vec![rate],
+            ..tiny_spec()
+        };
+        let paper = with_rate(Oversubscription::Rate75).fingerprint();
+        let custom = with_rate(Oversubscription::Custom(0.751)).fingerprint();
+        assert_ne!(custom, paper);
+        assert_ne!(
+            custom,
+            with_rate(Oversubscription::Custom(0.75)).fingerprint()
+        );
     }
 
     #[test]

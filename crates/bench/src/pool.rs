@@ -15,6 +15,8 @@ use std::thread;
 
 use uvm_util::Rng;
 
+use crate::campaign::DEFAULT_SNAPSHOT_EVERY;
+
 /// Worker pool and checkpointing knobs. They are kept apart from the
 /// spec of what runs so that changing them can never change a merged
 /// result (they are not part of any fingerprint by construction).
@@ -27,7 +29,7 @@ pub struct PoolOptions {
     pub shuffle: Option<u64>,
     /// Auto-snapshot file. `None` disables checkpointing.
     pub snapshot_path: Option<PathBuf>,
-    /// Completions between auto-snapshots (0 = the caller's default).
+    /// Completions between auto-snapshots (0 = [`DEFAULT_SNAPSHOT_EVERY`]).
     pub snapshot_every: usize,
     /// Resume from `snapshot_path` if it exists (fingerprint-checked).
     pub resume: bool,
@@ -40,10 +42,10 @@ pub struct PoolOptions {
 impl PoolOptions {
     /// The snapshot file if `executed` completions land on a snapshot
     /// boundary: every `snapshot_every` completions, or every
-    /// `default_every` when `snapshot_every` is 0.
-    pub fn snapshot_due(&self, executed: usize, default_every: usize) -> Option<&Path> {
+    /// [`DEFAULT_SNAPSHOT_EVERY`] when `snapshot_every` is 0.
+    pub fn snapshot_due(&self, executed: usize) -> Option<&Path> {
         let every = match self.snapshot_every {
-            0 => default_every,
+            0 => DEFAULT_SNAPSHOT_EVERY,
             n => n,
         };
         self.snapshot_path

@@ -25,85 +25,24 @@
 //! any code in this module that reaches into the slot vector directly,
 //! so the blast-radius argument ("one tenant's result cannot clobber
 //! another's") stays auditable.
-//!
-//! Long mixes checkpoint themselves at tenant boundaries: every
-//! `snapshot_every` completions the collector writes a
-//! [`TenantSnapshot`] (atomic write-then-rename) with every completed
-//! row plus the mix fingerprint. A killed run relaunched with `resume`
-//! skips the completed tenants; the merged report is byte-identical to
-//! an uninterrupted run.
 
-use std::fmt;
-use std::fs;
-use std::io;
-use std::path::Path;
+use std::convert::Infallible;
 
 use hpe_core::HpeConfig;
 use uvm_sim::{
     schedule, AdmissionOutcome, FaultPlan, HirMode, TenantAdmission, TenantMix, TenantReport,
-    TenantSnapshot, TENANT_SNAPSHOT_SCHEMA,
+    TenantSchedule,
 };
-use uvm_types::{HirGeometry, Oversubscription, SimConfig, TenantStats};
-use uvm_util::{Json, ToJson};
+use uvm_types::{ConfigError, HirGeometry, Oversubscription, SimConfig, SimError, TenantStats};
+use uvm_util::ToJson;
 use uvm_workloads::registry;
 
 use crate::pool::{run_indexed, PoolOptions};
 use crate::runner::{run, PolicyKind, RunSpec};
 
-/// Default completions between auto-snapshots.
-pub const DEFAULT_TENANT_SNAPSHOT_EVERY: usize = 8;
-
-/// A mix-level failure (distinct from per-tenant run failures, which are
-/// contained on the tenant's report row).
-#[derive(Debug)]
-pub enum TenantRunError {
-    /// The mix failed validation or the admission ledger caught an
-    /// accounting bug.
-    Sim(uvm_types::SimError),
-    /// A resume snapshot belongs to a different mix.
-    SnapshotMismatch {
-        /// Fingerprint of the current mix.
-        expected: String,
-        /// Fingerprint recorded in the snapshot.
-        found: String,
-    },
-    /// A resume snapshot failed to parse or validate.
-    SnapshotMalformed(String),
-    /// Snapshot I/O failed.
-    Io(String),
-}
-
-impl fmt::Display for TenantRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TenantRunError::Sim(e) => e.fmt(f),
-            TenantRunError::SnapshotMismatch { expected, found } => write!(
-                f,
-                "tenant snapshot fingerprint {found} does not match the mix ({expected})"
-            ),
-            TenantRunError::SnapshotMalformed(m) => write!(f, "malformed tenant snapshot: {m}"),
-            TenantRunError::Io(m) => write!(f, "tenant snapshot I/O error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for TenantRunError {}
-
-impl From<uvm_types::SimError> for TenantRunError {
-    fn from(e: uvm_types::SimError) -> Self {
-        TenantRunError::Sim(e)
-    }
-}
-
-impl From<io::Error> for TenantRunError {
-    fn from(e: io::Error) -> Self {
-        TenantRunError::Io(e.to_string())
-    }
-}
-
 /// How to run a mix: the policy, the (optionally tenant-scoped) fault
-/// plan, and the worker-pool / checkpointing knobs. Pool knobs are never
-/// part of the result by construction.
+/// plan, and the worker count. The worker count is never part of the
+/// result by construction.
 #[derive(Debug, Clone, Default)]
 pub struct MixOptions {
     /// Eviction policy every tenant runs under.
@@ -114,16 +53,14 @@ pub struct MixOptions {
     /// Report label of the plan ("" = fault-free).
     pub plan_name: String,
     /// Tenant id the plan is scoped to. A plan with no target is a spec
-    /// error ([`TenantRunError::Sim`]), not a silent broadcast — the
-    /// whole point of the tenant layer is that faults have an owner.
+    /// error ([`SimError::Config`]), not a silent broadcast — the whole
+    /// point of the tenant layer is that faults have an owner.
     pub fault_tenant: Option<u64>,
-    /// Worker pool and checkpointing knobs (`snapshot_every` 0 =
-    /// [`DEFAULT_TENANT_SNAPSHOT_EVERY`]). A `limit` stop reports only
-    /// the tenants that ran.
-    pub pool: PoolOptions,
+    /// Worker threads (0 and 1 both mean one worker).
+    pub workers: usize,
 }
 
-/// Per-slot tenant results, private to the collector. Every read and
+/// Per-slot tenant results, private to `run_mix`. Every read and
 /// write of the slot vector goes through these accessors — the
 /// `tenant-isolation` lint rule flags direct `.slots` access anywhere
 /// else, which keeps the "one tenant per slot, no cross-tenant writes"
@@ -139,31 +76,21 @@ impl MixState {
         }
     }
 
-    /// Installs tenant `idx`'s result. Scoped: a slot belongs to exactly
-    /// one tenant and is written exactly once.
-    fn record(&mut self, idx: usize, row: TenantStats) {
-        debug_assert!(self.slots[idx].is_none(), "tenant slot {idx} written twice");
-        self.slots[idx] = Some(row);
-    }
-
-    /// Runs every pending tenant on the pool, which writes each row into
-    /// its own slot exactly once.
-    fn run_pending<E>(
-        &mut self,
-        pool: &PoolOptions,
-        job: impl Fn(usize) -> TenantStats + Sync,
-        collect: impl FnMut(usize, &[Option<TenantStats>], usize) -> Result<(), E>,
-    ) -> Result<usize, E> {
-        run_indexed(&mut self.slots, pool, job, collect)
+    /// Runs every pending tenant on `workers` pool threads, which write
+    /// each row into its own slot exactly once.
+    fn run_pending(&mut self, workers: usize, job: impl Fn(usize) -> TenantStats + Sync) {
+        let pool = PoolOptions {
+            workers,
+            ..PoolOptions::default()
+        };
+        let Ok(_) = run_indexed(&mut self.slots, &pool, job, |_, _, _| {
+            Ok::<_, Infallible>(())
+        });
     }
 
     /// Completed rows in schedule order (skips pending slots).
     fn completed(&self) -> Vec<TenantStats> {
         self.slots.iter().flatten().cloned().collect()
-    }
-
-    fn total(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -241,130 +168,64 @@ pub fn shared_hir_geometry(base: HirGeometry, concurrent: u64) -> HirGeometry {
     }
 }
 
-/// Runs the mix serially, in schedule order, with no pool and no
-/// snapshots: the reference implementation the parallel-equivalence
-/// suite compares the pool against.
+/// Runs the mix serially, in schedule order, with no pool: the
+/// reference implementation the parallel-equivalence suite compares the
+/// pool against.
 ///
 /// # Errors
 ///
-/// Returns [`TenantRunError`] if the mix is invalid or a plan has no
-/// target tenant.
+/// Returns [`SimError`] if the mix is invalid or a plan has no target
+/// tenant.
 pub fn run_mix_serial(
     cfg: &SimConfig,
     mix: &TenantMix,
     opts: &MixOptions,
-) -> Result<TenantReport, TenantRunError> {
+) -> Result<TenantReport, SimError> {
     validate_options(mix, opts)?;
     let sched = schedule(mix)?;
-    let rows: Vec<TenantStats> = sched
+    let rows = sched
         .admissions
         .iter()
         .map(|adm| execute_tenant(cfg, adm, mix.hir_mode, opts))
         .collect();
-    Ok(assemble_report(
-        mix,
-        opts,
-        &sched.fingerprint,
-        sched.rejected,
-        sched.delayed,
-        rows,
-    ))
+    Ok(assemble_report(mix, opts, &sched, rows))
 }
 
 /// Runs the mix on the worker pool ([`run_indexed`]), which merges rows
-/// by schedule index; the collector auto-snapshots at tenant boundaries.
+/// by schedule index.
 ///
 /// # Errors
 ///
-/// Returns [`TenantRunError`] if the mix is invalid, a plan has no
-/// target tenant, a resume snapshot mismatches, or snapshot I/O fails.
-/// Individual tenant failures do **not** abort the mix — they are
-/// contained on the tenant's row (`ok = false`).
+/// Returns [`SimError`] if the mix is invalid or a plan has no target
+/// tenant. Individual tenant failures do **not** abort the mix — they
+/// are contained on the tenant's row (`ok = false`).
 pub fn run_mix(
     cfg: &SimConfig,
     mix: &TenantMix,
     opts: &MixOptions,
-) -> Result<TenantReport, TenantRunError> {
+) -> Result<TenantReport, SimError> {
     validate_options(mix, opts)?;
     let sched = schedule(mix)?;
-    let fingerprint = sched.fingerprint.clone();
-    let total = sched.admissions.len();
-    let pool = &opts.pool;
-
-    // Resume: prefill completed slots from the snapshot, if any.
-    let mut state = MixState::new(total);
-    if pool.resume {
-        if let Some(path) = &pool.snapshot_path {
-            if path.exists() {
-                let snap = load_snapshot(path)?;
-                if snap.fingerprint != fingerprint {
-                    return Err(TenantRunError::SnapshotMismatch {
-                        expected: fingerprint,
-                        found: snap.fingerprint,
-                    });
-                }
-                if snap.total != total as u64 {
-                    return Err(TenantRunError::SnapshotMalformed(format!(
-                        "snapshot mix size {} != schedule size {total}",
-                        snap.total
-                    )));
-                }
-                for row in snap.completed {
-                    let Some(idx) = sched
-                        .admissions
-                        .iter()
-                        .position(|a| a.spec.id == row.tenant.0)
-                    else {
-                        return Err(TenantRunError::SnapshotMalformed(format!(
-                            "snapshot row for unknown tenant {}",
-                            row.tenant
-                        )));
-                    };
-                    state.record(idx, row);
-                }
-            }
-        }
-    }
-
-    state.run_pending(
-        pool,
-        |idx| execute_tenant(cfg, &sched.admissions[idx], mix.hir_mode, opts),
-        |_, slots, executed| match pool.snapshot_due(executed, DEFAULT_TENANT_SNAPSHOT_EVERY) {
-            Some(path) => write_snapshot(path, &fingerprint, slots.len(), slots.iter().flatten()),
-            None => Ok(()),
-        },
-    )?;
-    if let Some(path) = &pool.snapshot_path {
-        write_snapshot(path, &fingerprint, state.total(), &state.completed())?;
-    }
-    let rows = state.completed();
-    Ok(assemble_report(
-        mix,
-        opts,
-        &fingerprint,
-        sched.rejected,
-        sched.delayed,
-        rows,
-    ))
+    let mut state = MixState::new(sched.admissions.len());
+    state.run_pending(opts.workers, |idx| {
+        execute_tenant(cfg, &sched.admissions[idx], mix.hir_mode, opts)
+    });
+    Ok(assemble_report(mix, opts, &sched, state.completed()))
 }
 
-fn validate_options(mix: &TenantMix, opts: &MixOptions) -> Result<(), TenantRunError> {
+fn validate_options(mix: &TenantMix, opts: &MixOptions) -> Result<(), SimError> {
     if let Some(plan) = &opts.plan {
-        plan.validate().map_err(uvm_types::SimError::from)?;
+        plan.validate()?;
         let Some(target) = opts.fault_tenant else {
-            return Err(TenantRunError::Sim(uvm_types::SimError::Config(
-                uvm_types::ConfigError::invalid(
-                    "fault_tenant",
-                    "a mix-level fault plan must be scoped to one tenant",
-                ),
+            return Err(SimError::Config(ConfigError::invalid(
+                "fault_tenant",
+                "a mix-level fault plan must be scoped to one tenant",
             )));
         };
         if !mix.resolved_tenants().iter().any(|t| t.id == target) {
-            return Err(TenantRunError::Sim(uvm_types::SimError::Config(
-                uvm_types::ConfigError::invalid(
-                    "fault_tenant",
-                    format!("tenant {target} is not part of the mix"),
-                ),
+            return Err(SimError::Config(ConfigError::invalid(
+                "fault_tenant",
+                format!("tenant {target} is not part of the mix"),
             )));
         }
     }
@@ -374,59 +235,21 @@ fn validate_options(mix: &TenantMix, opts: &MixOptions) -> Result<(), TenantRunE
 fn assemble_report(
     mix: &TenantMix,
     opts: &MixOptions,
-    fingerprint: &str,
-    rejected: u64,
-    delayed: u64,
+    sched: &TenantSchedule,
     rows: Vec<TenantStats>,
 ) -> TenantReport {
     let makespan = rows.iter().map(TenantStats::completion).max().unwrap_or(0);
     TenantReport {
-        fingerprint: fingerprint.to_string(),
+        fingerprint: sched.fingerprint.clone(),
         policy: opts.policy.label().to_string(),
         hir_mode: mix.hir_mode.label().to_string(),
         plan: opts.plan_name.clone(),
         fault_tenant: opts.fault_tenant,
-        rejected,
-        delayed,
+        rejected: sched.rejected,
+        delayed: sched.delayed,
         makespan,
         tenants: rows,
     }
-}
-
-fn write_snapshot<'r>(
-    path: &Path,
-    fingerprint: &str,
-    total: usize,
-    completed: impl IntoIterator<Item = &'r TenantStats>,
-) -> Result<(), TenantRunError> {
-    let snap = TenantSnapshot {
-        schema: TENANT_SNAPSHOT_SCHEMA,
-        fingerprint: fingerprint.to_string(),
-        total: total as u64,
-        completed: completed.into_iter().cloned().collect(),
-    };
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, snap.to_json().pretty())?;
-    fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Loads and validates a tenant snapshot (strict: unknown fields are
-/// rejected with an actionable message).
-///
-/// # Errors
-///
-/// Returns [`TenantRunError::Io`] if the file cannot be read and
-/// [`TenantRunError::SnapshotMalformed`] if it fails to parse, has
-/// unknown fields, or fails structural validation.
-pub fn load_snapshot(path: &Path) -> Result<TenantSnapshot, TenantRunError> {
-    let text = fs::read_to_string(path)?;
-    let value = Json::parse(&text).map_err(|e| TenantRunError::SnapshotMalformed(e.to_string()))?;
-    let snap = TenantSnapshot::from_json_strict(&value)
-        .map_err(|e| TenantRunError::SnapshotMalformed(e.to_string()))?;
-    snap.validate()
-        .map_err(|e| TenantRunError::SnapshotMalformed(e.to_string()))?;
-    Ok(snap)
 }
 
 // ---------------------------------------------------------------------------
@@ -572,14 +395,14 @@ pub struct FairnessRow {
 ///
 /// # Errors
 ///
-/// Returns [`TenantRunError`] if any mix is invalid.
+/// Returns [`SimError`] if any mix is invalid.
 pub fn fairness_grid(
     cfg: &SimConfig,
     mixes: &[Vec<&str>],
     quota_pcts: &[u64],
     seed: u64,
     workers: usize,
-) -> Result<Vec<FairnessRow>, TenantRunError> {
+) -> Result<Vec<FairnessRow>, SimError> {
     let mut cfg = cfg.clone();
     cfg.hir.entries = (cfg.hir.entries / FAIRNESS_HIR_SCALE).max(cfg.hir.ways);
     let cfg = &cfg;
@@ -600,10 +423,7 @@ pub fn fairness_grid(
                 mix.admission.max_active = mix.tenants.len().max(1) as u64;
                 mix.hir_mode = hir_mode;
                 let opts = MixOptions {
-                    pool: PoolOptions {
-                        workers,
-                        ..PoolOptions::default()
-                    },
+                    workers,
                     ..MixOptions::default()
                 };
                 let report = run_mix(cfg, &mix, &opts)?;
@@ -678,10 +498,7 @@ mod tests {
         let serial = run_mix_serial(&cfg, &mix, &MixOptions::default()).unwrap();
         for workers in [1usize, 2, 8] {
             let opts = MixOptions {
-                pool: PoolOptions {
-                    workers,
-                    ..PoolOptions::default()
-                },
+                workers,
                 ..MixOptions::default()
             };
             let pooled = run_mix(&cfg, &mix, &opts).unwrap();
@@ -799,83 +616,6 @@ mod tests {
             assert!(r.throughput > 0.0, "{r:?}");
             assert_eq!(r.rejected + r.delayed, 0, "{r:?}");
         }
-    }
-
-    #[test]
-    fn snapshot_resume_is_byte_identical() {
-        let cfg = bench_config();
-        let mix = TenantMix::uniform(&["STN", "MVT", "CUT"], 75, 1_000, 7);
-        let dir = std::env::temp_dir().join("hpe-tenant-snapshot-test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        let _ = fs::remove_file(&path);
-
-        let straight = run_mix_serial(&cfg, &mix, &MixOptions::default()).unwrap();
-
-        // First pass: snapshot after every tenant, then truncate the
-        // snapshot to one completed row to simulate a mid-mix kill.
-        let opts = MixOptions {
-            pool: PoolOptions {
-                snapshot_path: Some(path.clone()),
-                snapshot_every: 1,
-                ..PoolOptions::default()
-            },
-            ..MixOptions::default()
-        };
-        run_mix(&cfg, &mix, &opts).unwrap();
-        let mut snap = load_snapshot(&path).unwrap();
-        snap.completed.truncate(1);
-        fs::write(&path, snap.to_json().pretty()).unwrap();
-
-        // Resume completes the remaining tenants; the merged report is
-        // byte-identical to the uninterrupted run.
-        let opts = MixOptions {
-            pool: PoolOptions {
-                snapshot_path: Some(path.clone()),
-                resume: true,
-                ..PoolOptions::default()
-            },
-            ..MixOptions::default()
-        };
-        let resumed = run_mix(&cfg, &mix, &opts).unwrap();
-        assert_eq!(
-            resumed.to_json().to_string(),
-            straight.to_json().to_string()
-        );
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn snapshot_fingerprint_mismatch_is_refused() {
-        let cfg = bench_config();
-        let mix = small_mix();
-        let dir = std::env::temp_dir().join("hpe-tenant-snapshot-mismatch");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        let opts = MixOptions {
-            pool: PoolOptions {
-                snapshot_path: Some(path.clone()),
-                ..PoolOptions::default()
-            },
-            ..MixOptions::default()
-        };
-        run_mix(&cfg, &mix, &opts).unwrap();
-        let mut other = small_mix();
-        other.seed = 99;
-        let opts = MixOptions {
-            pool: PoolOptions {
-                snapshot_path: Some(path.clone()),
-                resume: true,
-                ..PoolOptions::default()
-            },
-            ..MixOptions::default()
-        };
-        let err = run_mix(&cfg, &other, &opts).unwrap_err();
-        assert!(
-            matches!(err, TenantRunError::SnapshotMismatch { .. }),
-            "{err}"
-        );
-        let _ = fs::remove_file(&path);
     }
 
     #[test]

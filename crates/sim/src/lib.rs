@@ -77,8 +77,7 @@ pub use recovery::{AdaptiveBackoff, Backoff, FallbackVictim, RetryPolicy};
 pub use sanitizer::{Sanitizer, DEFAULT_SANITIZER_CADENCE};
 pub use tenant::{
     schedule, AdmissionControl, AdmissionOutcome, ArrivalProcess, HirMode, QuotaLedger,
-    TenantAdmission, TenantMix, TenantReport, TenantSchedule, TenantSnapshot, TenantSpec,
-    DEFAULT_LEASE_CYCLES, TENANT_SNAPSHOT_SCHEMA,
+    TenantAdmission, TenantMix, TenantReport, TenantSchedule, TenantSpec, DEFAULT_LEASE_CYCLES,
 };
 pub use tlb::Tlb;
 pub use trace::{

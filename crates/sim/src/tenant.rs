@@ -28,12 +28,10 @@ use std::collections::BinaryHeap;
 
 use uvm_types::{ConfigError, SimError, TenantId, TenantStats};
 use uvm_util::{
-    check_unknown_fields, impl_json_enum, impl_json_struct, FromJson, Json, JsonError, Rng, ToJson,
+    check_unknown_fields, fnv1a, impl_json_enum, impl_json_struct, FromJson, Json, JsonError, Rng,
+    ToJson,
 };
 use uvm_workloads::registry;
-
-/// Version tag of the [`TenantSnapshot`] schema.
-pub const TENANT_SNAPSHOT_SCHEMA: u64 = 1;
 
 /// Default declared lease length (cycles): generous enough that every
 /// registered workload finishes a scaled run inside one lease.
@@ -370,21 +368,11 @@ impl TenantMix {
 
     /// A 64-bit FNV-1a hex digest over the mix JSON: two mixes with the
     /// same fingerprint resolve the same tenants and the same admission
-    /// timeline. Snapshots refuse to resume across fingerprints.
+    /// timeline. Containment refuses to compare reports across
+    /// fingerprints.
     pub fn fingerprint(&self) -> String {
         format!("{:016x}", fnv1a(self.to_json().to_string().as_bytes()))
     }
-}
-
-/// FNV-1a, 64-bit (same digest the campaign engine uses for spec drift
-/// detection; collision resistance is not a goal).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -730,7 +718,7 @@ impl Scheduler<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Report & snapshot
+// Report
 // ---------------------------------------------------------------------------
 
 /// The merged result of running a whole mix (execution lives in
@@ -812,82 +800,6 @@ impl TenantReport {
         }
         let instructions: u64 = self.tenants.iter().map(|t| t.stats.instructions).sum();
         instructions as f64 * 1_000.0 / self.makespan as f64
-    }
-}
-
-/// On-disk snapshot of a mix run in flight: completed tenants plus the
-/// mix fingerprint, written at tenant boundaries. A resumed run
-/// recomputes the schedule from the (fingerprint-checked) mix and skips
-/// the completed tenants, so the merged report is byte-identical to an
-/// uninterrupted run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TenantSnapshot {
-    /// Snapshot schema version ([`TENANT_SNAPSHOT_SCHEMA`]).
-    pub schema: u64,
-    /// Fingerprint of the producing mix.
-    pub fingerprint: String,
-    /// Total tenants in the resolved mix.
-    pub total: u64,
-    /// Completed tenants, listed in the mix's `(arrival, id)` order.
-    /// With more than one worker they need not be a prefix of that
-    /// order: tenants finish out of order.
-    pub completed: Vec<TenantStats>,
-}
-
-impl_json_struct!(TenantSnapshot {
-    schema = 0,
-    fingerprint = String::new(),
-    total = 0,
-    completed = Vec::new(),
-});
-
-impl TenantSnapshot {
-    /// Parses a snapshot, rejecting unknown fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on unknown or malformed fields.
-    pub fn from_json_strict(v: &Json) -> Result<Self, JsonError> {
-        let mut template = TenantSnapshot::default();
-        template.completed.push(TenantStats::default());
-        check_unknown_fields(v, &template.to_json(), "tenant snapshot")?;
-        TenantSnapshot::from_json(v)
-    }
-
-    /// Structural validation beyond JSON well-formedness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] on a wrong schema version, a completed
-    /// list longer than the mix, or duplicate tenant ids.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.schema != TENANT_SNAPSHOT_SCHEMA {
-            return Err(ConfigError::invalid(
-                "schema",
-                format!("{} (expected {TENANT_SNAPSHOT_SCHEMA})", self.schema),
-            ));
-        }
-        if self.completed.len() as u64 > self.total {
-            return Err(ConfigError::invalid(
-                "completed",
-                format!(
-                    "{} completed tenants exceed the mix total {}",
-                    self.completed.len(),
-                    self.total
-                ),
-            ));
-        }
-        let mut seen: Vec<u64> = Vec::new();
-        for t in &self.completed {
-            if seen.contains(&t.tenant.0) {
-                return Err(ConfigError::invalid(
-                    "completed",
-                    format!("duplicate tenant id {}", t.tenant),
-                ));
-            }
-            seen.push(t.tenant.0);
-        }
-        Ok(())
     }
 }
 
@@ -1106,28 +1018,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_validates_and_strict_parses() {
-        let snap = TenantSnapshot {
-            schema: TENANT_SNAPSHOT_SCHEMA,
-            fingerprint: "x".into(),
-            total: 2,
-            completed: vec![TenantStats::default()],
-        };
-        assert!(snap.validate().is_ok());
-        let wrong = TenantSnapshot {
-            schema: 9,
-            ..snap.clone()
-        };
-        assert_eq!(wrong.validate().unwrap_err().parameter(), "schema");
-        let mut dup = snap.clone();
-        dup.completed.push(TenantStats::default());
-        assert_eq!(dup.validate().unwrap_err().parameter(), "completed");
-        let text = snap.to_json().to_string();
-        let back = TenantSnapshot::from_json_strict(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, snap);
-        let bad = r#"{ "schema": 1, "fingerprnt": "x" }"#;
-        let err = TenantSnapshot::from_json_strict(&Json::parse(bad).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("fingerprint"), "{err}");
+    fn mix_fingerprint_is_pinned() {
+        // Recorded before the digest moved to `uvm_util::fnv1a`; a change
+        // here means the mix JSON or the digest changed.
+        let mix = TenantMix::uniform(&["STN", "MVT"], 75, 1_000, 7);
+        assert_eq!(mix.fingerprint(), "0241f5fd62e945bb");
     }
 
     #[test]

@@ -171,6 +171,16 @@ impl Oversubscription {
         ((footprint_pages as f64 * self.fraction()).floor() as u64).max(1)
     }
 
+    /// Parses one of the paper's two rates: `75`, `75%`, `50` or `50%`.
+    /// Custom fractions are not accepted.
+    pub fn parse(text: &str) -> Option<Self> {
+        match text.trim_end_matches('%') {
+            "75" => Some(Oversubscription::Rate75),
+            "50" => Some(Oversubscription::Rate50),
+            _ => None,
+        }
+    }
+
     /// Short label used in benchmark output ("75%", "50%", ...).
     pub fn label(self) -> String {
         match self {
@@ -517,6 +527,21 @@ impl SimConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversubscription_parses_only_paper_rates() {
+        for (text, want) in [
+            ("75", Oversubscription::Rate75),
+            ("75%", Oversubscription::Rate75),
+            ("50", Oversubscription::Rate50),
+            ("50%", Oversubscription::Rate50),
+        ] {
+            assert_eq!(Oversubscription::parse(text), Some(want), "{text}");
+        }
+        for text in ["", "%", "60", "75.0", "75.1", "0.75", " 75", "Rate75"] {
+            assert_eq!(Oversubscription::parse(text), None, "{text:?}");
+        }
+    }
 
     #[test]
     fn paper_default_matches_table1() {

@@ -39,6 +39,25 @@ echo "==> parallel campaign smoke (8 workers, deterministic merge)"
 # byte-identical to a serial run, this smoke proves the CLI path works.
 cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- campaign --workers 8 > /dev/null
 
+echo "==> campaign kill/resume smoke (STN, limit-stopped then resumed)"
+# The campaign snapshot is the repo's one resume format. A campaign
+# stopped at --limit and resumed from its snapshot must save a report
+# byte-identical to an uninterrupted run's. See DESIGN.md §11.
+resume_dir=$(mktemp -d)
+report=target/paper-results/campaign.json
+cargo run -q --release --offline -p hpe-bench --bin hpe-lab -- campaign STN --workers 2 > /dev/null
+mv "$report" "$resume_dir/straight.json"
+cargo run -q --release --offline -p hpe-bench --bin hpe-lab -- campaign STN --workers 2 \
+    --snapshot "$resume_dir/snap.json" --limit 5 > /dev/null
+cargo run -q --release --offline -p hpe-bench --bin hpe-lab -- campaign STN --workers 2 \
+    --snapshot "$resume_dir/snap.json" --resume > /dev/null
+if ! cmp -s "$report" "$resume_dir/straight.json"; then
+    rm -rf "$resume_dir"
+    echo "resumed campaign report differs from the uninterrupted run" >&2
+    exit 1
+fi
+rm -rf "$resume_dir"
+
 echo "==> checkpoint/resume determinism smoke (STN, checkpoint mid-run)"
 # `resume` runs STN straight through, checkpoints a second run mid-flight,
 # resumes it in a fresh simulation, and exits nonzero unless the resumed
