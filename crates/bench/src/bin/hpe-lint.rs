@@ -2,18 +2,20 @@
 //!
 //! Front end to the `uvm-lint` crate: walks the checkout, runs the
 //! selected rule families, and reports violations as `file:line` lines
-//! or machine-readable JSON. Replaces the old awk-based unwrap counter
-//! in `scripts/verify.sh` — violations carry a rule id and an inline
+//! or machine-readable JSON. Violations carry a rule id and an inline
 //! `// lint:allow(rule-id)` escape hatch instead of a numeric baseline.
+//! What rustc and clippy can enforce (wall clock, unseeded hashing,
+//! unwrap/expect/panic macros, undeclared crates) is left to them; see
+//! the root `clippy.toml` and `[workspace.lints]`.
 //!
 //! ```sh
 //! hpe-lint check                               # all rule families, repo root
-//! hpe-lint check --rules error-discipline      # one family (CI unwrap gate)
-//! hpe-lint check --rules determinism,hermeticity --json
+//! hpe-lint check --rules error-discipline      # one family (profile-guard)
+//! hpe-lint check --rules determinism,panic-reachability --json
 //! hpe-lint check path/to/checkout              # explicit root
 //! hpe-lint rules                               # list families and rules
 //! hpe-lint graph                               # call-graph summary from the roots
-//! hpe-lint graph MixState::record              # one symbol: trail + callees
+//! hpe-lint graph MixState::run_pending         # one symbol: trail + callees
 //! hpe-lint explain panic-reachability          # what a rule means and how to fix
 //! ```
 //!
@@ -36,10 +38,9 @@ fn usage() -> ExitCode {
          \x20 check [--rules FAMILY[,FAMILY..]] [--json] [ROOT]\n\
          \x20       lint the workspace at ROOT (default: the enclosing\n\
          \x20       checkout) with the selected rule families\n\
-         \x20       (default: all of determinism, hermeticity,\n\
-         \x20       error-discipline, paper-constants, tenant-isolation,\n\
-         \x20       panic-reachability, determinism-taint, stale-allow,\n\
-         \x20       explore-specs)\n\
+         \x20       (default: all of determinism, error-discipline,\n\
+         \x20       paper-constants, panic-reachability,\n\
+         \x20       determinism-taint, stale-allow, explore-specs)\n\
          \x20 graph [SYMBOL] [--json] [ROOT]\n\
          \x20       call-graph view: without SYMBOL the roots, every\n\
          \x20       reachable panic site (annotated or not) with its\n\
@@ -412,19 +413,6 @@ fn graph_symbol(graph: &CallGraph, symbol: &str, json_out: bool) -> Result<ExitC
 /// rule id (not per family).
 const EXPLANATIONS: &[(&str, &str)] = &[
     (
-        "wall-clock",
-        "Simulated time must come from the event loop, never the host\n\
-         clock: `std::time::Instant`/`SystemTime` reads make runs\n\
-         irreproducible. Fix: thread the simulation clock through; there\n\
-         is no allow escape for this rule.",
-    ),
-    (
-        "randomness",
-        "All randomness must flow through the seeded `uvm_util::rng`\n\
-         generator. `thread_rng`, `rand::`, or OS entropy break replay.\n\
-         Fix: take an `Rng` (or a seed) as an argument.",
-    ),
-    (
         "hash-iteration",
         "Iterating a `HashMap`/`HashSet` visits entries in hash order,\n\
          which varies across runs and platforms. Fix: sort keys first,\n\
@@ -432,24 +420,13 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          with `// lint:allow(hash-iteration)` and say why.",
     ),
     (
-        "external-import",
-        "The workspace is hermetic: no external crates. An import of one\n\
-         would quietly pull untracked behaviour into the reproduction.\n\
-         Fix: implement the needed slice in `crates/util`.",
-    ),
-    (
-        "unwrap",
-        "`.unwrap()`, `.expect(`, and `panic!` in non-test simulator\n\
-         code turn recoverable conditions into aborts. Scope:\n\
-         crates/{sim,core,policies}/src. Fix: return a typed error, or\n\
-         annotate an audited invariant with `// lint:allow(unwrap)`.",
-    ),
-    (
         "profile-guard",
         "Profiler accumulation must sit behind the opt-in guard\n\
          (`if let Some(prof) = self.profiler.as_mut()`) so the hot path\n\
-         pays nothing when profiling is off. Scope: crates/sim/src\n\
-         except profile.rs.",
+         pays nothing when profiling is off. Only a `Some(<receiver>)`\n\
+         binding on the call line or up to 40 lines above it in the same\n\
+         fn counts; a guard of anything else does not. Scope:\n\
+         crates/sim/src except profile.rs.",
     ),
     (
         "paper-constants",
@@ -458,15 +435,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          Drift would silently change every downstream number. Fix:\n\
          restore the constant, or update the manifest in the same\n\
          change that re-derives the dependent results.",
-    ),
-    (
-        "tenant-isolation",
-        "Per-tenant slot state (`.slots`) may only be touched inside the\n\
-         `impl MixState` block; everything else goes through the\n\
-         accessors. Since v2 the rule is symbol-aware and workspace-wide:\n\
-         code inside the impl block is exempt by position (no\n\
-         annotations needed), code outside it is flagged wherever it\n\
-         lives.",
     ),
     (
         "panic-reachability",
@@ -479,8 +447,10 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          them). Resolution is name-based and deliberately\n\
          over-approximate: a common method name may pull in an\n\
          unrelated fn; annotate such a site with\n\
-         `// lint:allow(panic-reachability)` and say why. Existing\n\
-         `lint:allow(unwrap)` annotations also suppress it.",
+         `// lint:allow(panic-reachability)` and say why. Sites in\n\
+         crates/{sim,core,policies} are not judged here: those crates\n\
+         inherit the workspace clippy panic lints, which demand a\n\
+         reviewed `#[expect(clippy::..., reason = \"..\")]` at each.",
     ),
     (
         "rng-taint",
@@ -494,9 +464,9 @@ const EXPLANATIONS: &[(&str, &str)] = &[
         "stale-allow",
         "A `// lint:allow(rule-id)` that no longer suppresses anything\n\
          (the violation moved or was fixed, or the id is unknown) is\n\
-         itself flagged, so the escape hatch cannot rot. Only judged\n\
-         when every family that could consume the id is selected. Fix:\n\
-         delete the annotation.",
+         itself flagged, so the escape hatch cannot rot. A known id is\n\
+         only judged when its family is selected; an id no rule\n\
+         consumes is always stale. Fix: delete the annotation.",
     ),
     (
         "explore-spec",
@@ -527,24 +497,18 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_rules() -> ExitCode {
     println!(
-        "determinism        wall-clock, hash-iteration, randomness\n\
+        "determinism        hash-iteration\n\
          \x20                  (crates/{{sim,core,policies,workloads}}/src)\n\
-         hermeticity        external-import (every .rs file)\n\
-         error-discipline   unwrap (.unwrap()/.expect(/panic! outside tests;\n\
-         \x20                  crates/{{sim,core,policies}}/src),\n\
-         \x20                  profile-guard (profiler accumulation outside\n\
+         error-discipline   profile-guard (profiler accumulation outside\n\
          \x20                  the opt-in guard; crates/sim/src except\n\
          \x20                  profile.rs)\n\
          paper-constants    paper-constants (config constructors vs the\n\
          \x20                  declared manifest)\n\
-         tenant-isolation   tenant-isolation (symbol-aware since v2:\n\
-         \x20                  `.slots` access outside the `impl MixState`\n\
-         \x20                  block, workspace-wide; the impl block is\n\
-         \x20                  exempt by position)\n\
          panic-reachability panic-reachability (panic sites the call\n\
          \x20                  graph reaches from Simulation::run,\n\
          \x20                  run_campaign, run_mix, or the MixState\n\
-         \x20                  accessors; findings carry a call trail)\n\
+         \x20                  accessors, outside crates/{{sim,core,policies}};\n\
+         \x20                  findings carry a call trail)\n\
          determinism-taint  rng-taint (Rng::seed_from_u64 must derive\n\
          \x20                  its seed from a parameter or config field)\n\
          stale-allow        stale-allow (lint:allow annotations that no\n\
@@ -553,7 +517,15 @@ fn cmd_rules() -> ExitCode {
          \x20                  parse as ExploreSpec and validate)\n\
          \n\
          suppress a single line with: // lint:allow(rule-id)\n\
-         `hpe-lint explain RULE-ID` has the full story for each rule"
+         `hpe-lint explain RULE-ID` has the full story for each rule\n\
+         \n\
+         enforced by clippy and rustc instead (see clippy.toml and\n\
+         [workspace.lints] in Cargo.toml): wall clock and unseeded\n\
+         hashing (disallowed-methods/-types, every crate), unwrap,\n\
+         expect and panic macros (deny in crates/{{sim,core,policies}};\n\
+         audited sites carry #[expect(clippy::.., reason = \"..\")]),\n\
+         undeclared crates (rustc; the lockfile test rejects external\n\
+         sources), tenant slot state (private to its module)"
     );
     ExitCode::SUCCESS
 }

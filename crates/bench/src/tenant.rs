@@ -21,12 +21,10 @@
 //!    deterministic insertion-ordered JSON writer.
 //!
 //! Tenant state (the per-slot results) is deliberately funneled through
-//! the [`MixState`] accessors; the `tenant-isolation` lint rule flags
-//! any code in this module that reaches into the slot vector directly,
-//! so the blast-radius argument ("one tenant's result cannot clobber
+//! the [`MixState`] accessors: the slot vector is private to their
+//! module, so the compiler rejects any other code that reaches into it
+//! and the blast-radius argument ("one tenant's result cannot clobber
 //! another's") stays auditable.
-
-use std::convert::Infallible;
 
 use hpe_core::HpeConfig;
 use uvm_sim::{
@@ -37,8 +35,9 @@ use uvm_types::{ConfigError, HirGeometry, Oversubscription, SimConfig, SimError,
 use uvm_util::ToJson;
 use uvm_workloads::registry;
 
-use crate::pool::{run_indexed, PoolOptions};
 use crate::runner::{run, PolicyKind, RunSpec};
+
+use mix_state::MixState;
 
 /// How to run a mix: the policy, the (optionally tenant-scoped) fault
 /// plan, and the worker count. The worker count is never part of the
@@ -60,37 +59,48 @@ pub struct MixOptions {
     pub workers: usize,
 }
 
-/// Per-slot tenant results, private to `run_mix`. Every read and
-/// write of the slot vector goes through these accessors — the
-/// `tenant-isolation` lint rule flags direct `.slots` access anywhere
-/// else, which keeps the "one tenant per slot, no cross-tenant writes"
-/// argument auditable.
-struct MixState {
-    slots: Vec<Option<TenantStats>>,
-}
+/// Per-slot tenant results, private to `run_mix`. The slot vector is
+/// private to this module, so every read and write goes through the
+/// accessors — which keeps the "one tenant per slot, no cross-tenant
+/// writes" argument auditable.
+mod mix_state {
+    use std::convert::Infallible;
 
-impl MixState {
-    fn new(total: usize) -> Self {
-        MixState {
-            slots: vec![None; total],
+    use uvm_types::TenantStats;
+
+    use crate::pool::{run_indexed, PoolOptions};
+
+    pub(super) struct MixState {
+        slots: Vec<Option<TenantStats>>,
+    }
+
+    impl MixState {
+        pub(super) fn new(total: usize) -> Self {
+            MixState {
+                slots: vec![None; total],
+            }
         }
-    }
 
-    /// Runs every pending tenant on `workers` pool threads, which write
-    /// each row into its own slot exactly once.
-    fn run_pending(&mut self, workers: usize, job: impl Fn(usize) -> TenantStats + Sync) {
-        let pool = PoolOptions {
-            workers,
-            ..PoolOptions::default()
-        };
-        let Ok(_) = run_indexed(&mut self.slots, &pool, job, |_, _, _| {
-            Ok::<_, Infallible>(())
-        });
-    }
+        /// Runs every pending tenant on `workers` pool threads, which
+        /// write each row into its own slot exactly once.
+        pub(super) fn run_pending(
+            &mut self,
+            workers: usize,
+            job: impl Fn(usize) -> TenantStats + Sync,
+        ) {
+            let pool = PoolOptions {
+                workers,
+                ..PoolOptions::default()
+            };
+            let Ok(_) = run_indexed(&mut self.slots, &pool, job, |_, _, _| {
+                Ok::<_, Infallible>(())
+            });
+        }
 
-    /// Completed rows in schedule order (skips pending slots).
-    fn completed(&self) -> Vec<TenantStats> {
-        self.slots.iter().flatten().cloned().collect()
+        /// Completed rows in schedule order (skips pending slots).
+        pub(super) fn completed(&self) -> Vec<TenantStats> {
+            self.slots.iter().flatten().cloned().collect()
+        }
     }
 }
 

@@ -184,7 +184,8 @@ impl PageSetChain {
         // result is kept; secondaries never divide again.
         if self.division_enabled && !key.secondary {
             let full = self.full_mask();
-            let entry = self.entries.get_mut(&key).expect("just inserted"); // lint:allow(unwrap) — inserted two lines up
+            #[expect(clippy::expect_used, reason = "inserted two lines up")]
+            let entry = self.entries.get_mut(&key).expect("just inserted");
             if entry.counter >= counter_max
                 && !entry.divided
                 && !self.divisions.contains_key(&key.set)
@@ -296,10 +297,12 @@ impl PageSetChain {
             self.remove_key(z);
         }
         let key = chosen?;
-        let entry = self.entries.get_mut(&key).expect("chosen entry exists"); // lint:allow(unwrap) — key came from the live scan above
+        #[expect(clippy::expect_used, reason = "key came from the live scan above")]
+        let entry = self.entries.get_mut(&key).expect("chosen entry exists");
+        #[expect(clippy::expect_used, reason = "zombies were pruned above")]
         let offset = entry
             .first_resident_offset()
-            .expect("chosen entry has a resident page"); // lint:allow(unwrap) — zombies were pruned above
+            .expect("chosen entry has a resident page");
         entry.resident &= !(1u64 << offset);
         let page = key.set.page_at(self.set_shift, offset);
         if entry.resident == 0 {

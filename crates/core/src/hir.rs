@@ -70,7 +70,8 @@ impl HirCache {
     ///
     /// Panics if the geometry is invalid.
     pub fn new(geom: HirGeometry, set_shift: u32) -> Self {
-        geom.validate().expect("valid HIR geometry"); // lint:allow(unwrap)
+        #[expect(clippy::expect_used, reason = "constructor contract, documented panic")]
+        geom.validate().expect("valid HIR geometry");
         let pages_per_set = 1u32 << set_shift;
         let n = geom.entries as usize;
         HirCache {
@@ -114,12 +115,13 @@ impl HirCache {
         }
         // Miss: take an invalid way, else the LRU way (a conflict — that
         // entry's information is lost, Section IV-B issue 2).
+        #[expect(clippy::expect_used, reason = "a validated geometry has nonzero ways")]
         let slot = (base..base + ways)
             .find(|&i| !self.ways[i].valid)
             .unwrap_or_else(|| {
                 (base..base + ways)
                     .min_by_key(|&i| self.ways[i].stamp)
-                    .expect("ways nonzero") // lint:allow(unwrap)
+                    .expect("ways nonzero")
             });
         if self.ways[slot].valid {
             self.conflict_evictions += 1;

@@ -24,6 +24,10 @@ fn drive(policy: &mut Hpe, refs: &[u64], capacity: usize) -> u64 {
                 policy.on_memory_full();
                 notified = true;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "test helper: a missing victim fails the test"
+            )]
             let v = policy.select_victim().expect("victim exists");
             assert!(resident.remove(&v), "victim {v} not resident");
         }

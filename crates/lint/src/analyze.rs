@@ -99,10 +99,10 @@ mod tests {
 
     #[test]
     fn allow_annotations_are_harvested() {
-        let lines = analyze("x.unwrap(); // lint:allow(unwrap, hash-iteration)");
-        assert!(lines[0].allows("unwrap"));
+        let lines = analyze("x.unwrap(); // lint:allow(rng-taint, hash-iteration)");
+        assert!(lines[0].allows("rng-taint"));
         assert!(lines[0].allows("hash-iteration"));
-        assert!(!lines[0].allows("wall-clock"));
+        assert!(!lines[0].allows("profile-guard"));
     }
 
     #[test]

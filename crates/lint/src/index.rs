@@ -160,14 +160,6 @@ impl ItemIndex {
         }
         idx
     }
-
-    /// Whether 1-based `line` of `file` falls inside an `impl` block of
-    /// `type_name`.
-    pub fn in_impl_of(&self, file: &str, line: u32, type_name: &str) -> bool {
-        self.impls.iter().any(|b| {
-            b.file == file && b.type_name == type_name && b.line <= line && line <= b.end_line
-        })
-    }
 }
 
 /// Control-flow keywords that look like calls (`if (..)`) but are not.
@@ -721,14 +713,6 @@ mod tests {
         assert_eq!(idx.fns[0].name, "real");
         // The test-module `mod tests` is also skipped.
         assert!(idx.mods.is_empty());
-    }
-
-    #[test]
-    fn in_impl_of_matches_line_ranges() {
-        let idx = index_of("struct M;\nimpl M {\n  fn a(&self) {}\n}\nfn outside() {}\n");
-        assert!(idx.in_impl_of("test.rs", 3, "M"));
-        assert!(!idx.in_impl_of("test.rs", 5, "M"));
-        assert!(!idx.in_impl_of("other.rs", 3, "M"));
     }
 
     #[test]

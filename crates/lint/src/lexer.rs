@@ -12,8 +12,8 @@
 //! 2. **Blanked per-line code** ([`LineMeta`]): the original line with
 //!    comment prose and literal contents replaced by spaces (same
 //!    character length, so column arithmetic holds). The line-oriented
-//!    rule families (determinism, hermeticity, error-discipline,
-//!    paper-constants) match against this view exactly as the v1
+//!    rule families (determinism, error-discipline, paper-constants)
+//!    match against this view exactly as the v1
 //!    analyzer did, which is what keeps their golden diagnostics
 //!    byte-identical across the engine rewrite.
 //!
@@ -615,12 +615,14 @@ mod tests {
 
     #[test]
     fn doc_comments_do_not_harvest_allows() {
-        let lexed = lex("/// Suppress with `// lint:allow(unwrap)` at the site.\n\
+        let lexed = lex(
+            "/// Suppress with `// lint:allow(rng-taint)` at the site.\n\
              //! lint:allow(hash-iteration)\n\
-             x.unwrap(); // lint:allow(unwrap)\n");
+             x.unwrap(); // lint:allow(rng-taint)\n",
+        );
         assert!(lexed.lines[0].allows.is_empty());
         assert!(lexed.lines[1].allows.is_empty());
-        assert_eq!(lexed.lines[2].allows, vec!["unwrap".to_string()]);
+        assert_eq!(lexed.lines[2].allows, vec!["rng-taint".to_string()]);
     }
 
     #[test]

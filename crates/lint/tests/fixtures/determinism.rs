@@ -1,4 +1,6 @@
-//! Seeded determinism violations (lint fixture — never compiled).
+//! Seeded determinism violation (lint fixture — never compiled). Wall
+//! clock and unseeded randomness are clippy's (root `clippy.toml`); the
+//! hash-order rule stays here.
 
 use std::collections::HashMap;
 
@@ -6,12 +8,10 @@ pub struct Telemetry {
     samples: HashMap<u64, u64>,
 }
 
-pub fn jitter(t: &Telemetry) -> u64 {
-    let started = std::time::Instant::now();
-    let seed = thread_rng();
+pub fn total(t: &Telemetry) -> u64 {
     let mut total = 0;
     for (_, v) in &t.samples {
         total += v;
     }
-    total + seed + started.elapsed().as_nanos() as u64
+    total
 }

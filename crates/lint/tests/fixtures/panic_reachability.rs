@@ -1,6 +1,6 @@
 // Fixture: panic-reachability violations. Linted under the synthetic
-// path crates/bench/src/fixture_panic.rs — outside the error-discipline
-// scope, so only the call-graph rule fires. `run_campaign` is a root;
+// path crates/bench/src/fixture_panic.rs — outside the clippy panic-lint
+// crates, so the call-graph rule judges it. `run_campaign` is a root;
 // everything it transitively calls is on the hook.
 
 pub fn run_campaign(n: u64) -> u64 {

@@ -23,4 +23,18 @@ impl Engine {
     pub fn annotated(&mut self, prof: &mut Profiler) {
         prof.open_span(1, 2); // lint:allow(profile-guard) — fixture: annotated sites exempt
     }
+
+    // A guard of something else is no guard: only a `Some(<receiver>)`
+    // binding counts.
+    pub fn after_unrelated_guard(&mut self) {
+        if let Some(fs) = self.faults.as_mut() {
+            fs.tick();
+        }
+        self.scratch_profiler.charge(Account::SmStall, self.cycles);
+    }
+
+    pub fn after_presence_test(&mut self) {
+        let done = self.faults.is_some();
+        self.prof.open_span(1, u64::from(done));
+    }
 }

@@ -52,13 +52,13 @@ fn raw_strings_with_hash_fences_swallow_quotes_and_comments() {
 
 #[test]
 fn raw_string_contents_never_harvest_allow_annotations() {
-    let lexed = lex("let s = r#\"// lint:allow(unwrap) — just text\"#;\nlet x = 1;\n");
+    let lexed = lex("let s = r#\"// lint:allow(rng-taint) — just text\"#;\nlet x = 1;\n");
     assert!(lexed.lines.iter().all(|l| l.allows.is_empty()));
 }
 
 #[test]
 fn multi_line_raw_string_blanks_interior_lines() {
-    let lexed = lex("let s = r#\"first\nsecond // lint:allow(unwrap)\nthird\"#;\nlet y = 2;\n");
+    let lexed = lex("let s = r#\"first\nsecond // lint:allow(rng-taint)\nthird\"#;\nlet y = 2;\n");
     assert!(lexed.lines.iter().all(|l| l.allows.is_empty()));
     assert!(lexed.lines[1].code.trim().is_empty());
     assert!(lexed.lines[3].code.contains("let y = 2;"));

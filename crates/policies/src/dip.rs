@@ -160,7 +160,8 @@ impl Dip {
         self.recent.push_back(page);
         *self.recent_set.entry(page).or_insert(0) += 1;
         if self.recent.len() > 128 {
-            let old = self.recent.pop_front().expect("nonempty"); // lint:allow(unwrap) — len > 128 checked above
+            #[expect(clippy::expect_used, reason = "len > 128 checked above")]
+            let old = self.recent.pop_front().expect("nonempty");
             if let Some(c) = self.recent_set.get_mut(&old) {
                 *c -= 1;
                 if *c == 0 {

@@ -85,10 +85,14 @@ impl EvictionPolicy for SetLru {
     fn select_victim(&mut self) -> Option<PageId> {
         self.stats.selections += 1;
         let set = *self.chain.lru()?;
+        #[expect(
+            clippy::expect_used,
+            reason = "chain and resident are kept in lockstep"
+        )]
         let mask = self
             .resident
             .get_mut(&set)
-            .expect("chained set has a resident mask"); // lint:allow(unwrap) — chain and resident are kept in lockstep
+            .expect("chained set has a resident mask");
         debug_assert_ne!(*mask, 0, "chained set has no resident pages");
         let offset = mask.trailing_zeros();
         *mask &= !(1u64 << offset);

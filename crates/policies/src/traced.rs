@@ -206,7 +206,7 @@ mod tests {
                 ..
             } = *e
             else {
-                unreachable!()
+                panic!("unexpected event {e:?}");
             };
             assert!(search_comparisons > 0);
             assert!(victim_age <= 4);

@@ -29,6 +29,10 @@ fn replay(policy: &mut dyn EvictionPolicy, refs: &[u64], capacity: usize) -> u64
                 policy.on_memory_full();
                 notified = true;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "test helper: a missing victim fails the test"
+            )]
             let victim = policy.select_victim().expect("a victim must exist");
             assert!(resident.remove(&victim), "victim {victim} not resident");
         }

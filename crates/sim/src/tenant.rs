@@ -632,10 +632,14 @@ pub fn schedule(mix: &TenantMix) -> Result<TenantSchedule, SimError> {
     state.drain_to(u64::MAX)?;
     debug_assert!(state.pending.is_empty(), "pending tenants after full drain");
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the full drain above resolves every tenant"
+    )]
     let admissions: Vec<TenantAdmission> = state
         .admissions
         .into_iter()
-        .map(|a| a.expect("every tenant resolved")) // lint:allow(unwrap)
+        .map(|a| a.expect("every tenant resolved"))
         .collect();
     Ok(TenantSchedule {
         fingerprint: mix.fingerprint(),
@@ -702,7 +706,8 @@ impl Scheduler<'_> {
     /// pending queue FIFO at each release boundary.
     fn drain_to(&mut self, horizon: u64) -> Result<(), SimError> {
         while self.leases.peek().is_some_and(|l| l.end <= horizon) {
-            let lease = self.leases.pop().expect("peeked nonempty"); // lint:allow(unwrap) — guarded by peek
+            #[expect(clippy::expect_used, reason = "guarded by peek")]
+            let lease = self.leases.pop().expect("peeked nonempty");
             self.ledger.release(lease.tenant, lease.quota)?;
             while let Some(&idx) = self.pending.first() {
                 if self.fits(idx) {
@@ -787,7 +792,11 @@ impl TenantReport {
         if s.is_empty() {
             return 0.0;
         }
-        s.sort_by(|a, b| a.partial_cmp(b).expect("slowdowns are finite")); // lint:allow(unwrap)
+        #[expect(
+            clippy::expect_used,
+            reason = "rows with zero cycles are filtered out, so slowdowns are finite"
+        )]
+        s.sort_by(|a, b| a.partial_cmp(b).expect("slowdowns are finite"));
         let idx = ((s.len() as f64 * 0.99).ceil() as usize).clamp(1, s.len()) - 1;
         s[idx]
     }

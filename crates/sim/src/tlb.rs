@@ -41,7 +41,8 @@ impl Tlb {
     ///
     /// Panics if the geometry is invalid (see [`TlbConfig::validate`]).
     pub fn new(cfg: TlbConfig) -> Self {
-        cfg.validate().expect("valid TLB geometry"); // lint:allow(unwrap) — constructor contract, documented panic
+        #[expect(clippy::expect_used, reason = "constructor contract, documented panic")]
+        cfg.validate().expect("valid TLB geometry");
         let n_sets = cfg.sets() as usize;
         Tlb {
             cfg,
@@ -87,12 +88,13 @@ impl Tlb {
             return;
         }
         if set.len() == ways {
+            #[expect(clippy::expect_used, reason = "set is full on this branch")]
             let lru = set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(i, _)| i)
-                .expect("set nonempty"); // lint:allow(unwrap) — set is full on this branch
+                .expect("set nonempty");
             set.swap_remove(lru);
         }
         set.push(Entry { page, stamp: clock });

@@ -15,6 +15,10 @@ use uvm_util::prop::Checker;
 use uvm_util::{FromJson, Json, Rng, ToJson};
 use uvm_workloads::{registry, Trace};
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: the geometry is fixed and valid"
+)]
 fn small_cfg(n_sms: u32) -> SimConfig {
     SimConfig::builder()
         .n_sms(n_sms)
@@ -60,6 +64,10 @@ fn random_plan(rng: &mut Rng) -> FaultPlan {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed chaos run fails the test"
+)]
 fn run_chaos(global: &[u64], capacity: u64, plan: &FaultPlan) -> SimStats {
     let trace = Trace::from_global(global, 40, 2, 3, 3);
     let mut sim = Simulation::new(small_cfg(3), &trace, Lru::new(), capacity).expect("valid sim");

@@ -7,6 +7,10 @@ use uvm_types::{SimConfig, TlbConfig};
 use uvm_util::prop::Checker;
 use uvm_workloads::Trace;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: the geometry is fixed and valid"
+)]
 fn small_cfg(n_sms: u32, warps: u32) -> SimConfig {
     SimConfig::builder()
         .n_sms(n_sms)

@@ -14,6 +14,11 @@
 //!   milliseconds (default 200).
 //! - `UVM_BENCH_FAST=1` — one sample of one iteration, for smoke-testing
 //!   that benches run at all.
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the host-time benchmark harness measures wall time by design"
+)]
 
 use std::time::{Duration, Instant};
 

@@ -66,18 +66,14 @@ cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- resume > /dev/n
 cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- resume --plan victim-drop \
     --fallback lru-shadow --retry > /dev/null
 
-echo "==> hpe-lint: error-discipline gate (replaces the old awk unwrap counter)"
-# Every .unwrap()/.expect(/panic! in non-test sim/core/policies code must
-# either propagate SimError instead, or carry an inline justification as
-# `// lint:allow(unwrap)` at the call site. No central baseline number:
-# the allowlist lives next to the code it excuses. See DESIGN.md §10.
-cargo run -q --release --offline -p hpe-bench --bin hpe-lint -- check --rules error-discipline
-
 echo "==> hpe-lint: full static analysis (all families incl. call-graph rules)"
 # Exit codes: 0 clean, 1 violations (file:line listed above the summary),
 # 2 internal error — same convention as hpe-chaos. The sweep includes
 # the symbol-aware v2 families (panic-reachability, determinism-taint,
-# stale-allow) and must stay interactive: budget 5 s wall clock.
+# stale-allow) and must stay interactive: budget 5 s wall clock, timed
+# after the binary is built. Unwrap/expect/panic discipline is clippy's
+# (the gate below); see DESIGN.md §10.
+cargo build -q --release --offline -p hpe-bench --bin hpe-lint
 lint_start=$(date +%s)
 cargo run -q --release --offline -p hpe-bench --bin hpe-lint -- check
 lint_elapsed=$(( $(date +%s) - lint_start ))
@@ -113,7 +109,17 @@ echo "==> profiler smoke (one traced+profiled run, conservation checked)"
 cargo run -q --release --offline -p hpe-bench --bin hpe-trace -- profile STN > /dev/null
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy -q --offline --workspace --all-targets -- -D warnings
+# Enforces the root clippy.toml (wall clock, unseeded hashing) and the
+# workspace panic lints. The seeded fixture package is excluded here and
+# checked on its own below.
+cargo clippy -q --offline --workspace --all-targets --exclude uvm-lint-clippy-fixture -- -D warnings
+
+echo "==> clippy seeded fixture (must fail with exactly its declared findings)"
+# Proves the clippy configuration still fires: every retired bespoke rule
+# (wall-clock, randomness, unwrap) has a seeded violation, plus one
+# fulfilled and one stale #[expect]. Exit 1 if clippy passes or reports
+# anything other than the `// fires:` markers in the fixture.
+python3 scripts/check_clippy_fixture.py
 
 if [ "${CHECK_FIGURES:-0}" = "1" ]; then
     echo "==> figure shape check (CHECK_FIGURES=1)"
