@@ -273,6 +273,7 @@ pub fn collect(id: &str, workers: usize) -> Result<BenchSnapshot, String> {
         ("run/STN/LRU/75%", "STN", PolicyKind::Lru),
         ("run/SGM/HPE/75%", "SGM", PolicyKind::Hpe),
         ("run/HSD/RRIP/75%", "HSD", PolicyKind::Rrip),
+        ("run/HSD/HPE/75%", "HSD", PolicyKind::Hpe),
     ] {
         // lint:allow(panic-reachability) — a broken pin must abort the sweep
         let app = registry::by_abbr(app).expect("pinned app is registered");

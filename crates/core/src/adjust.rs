@@ -16,7 +16,7 @@
 //!   explored first (without this, the longer-time comparison could never
 //!   leave the initial strategy, contradicting the BFS trace in Fig. 13).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use uvm_types::PageId;
 
@@ -27,7 +27,8 @@ use crate::config::{HpeConfig, StrategyKind};
 #[derive(Debug, Default)]
 struct EvictionFifo {
     order: VecDeque<PageId>,
-    counts: HashMap<PageId, u32>,
+    /// Occurrences of each page id in `order`, grown on demand.
+    counts: Vec<u32>,
     depth: usize,
 }
 
@@ -35,28 +36,27 @@ impl EvictionFifo {
     fn new(depth: usize) -> Self {
         EvictionFifo {
             order: VecDeque::with_capacity(depth),
-            counts: HashMap::new(),
+            counts: Vec::new(),
             depth,
         }
     }
 
     fn push(&mut self, page: PageId) {
+        let idx = page.0 as usize;
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
         self.order.push_back(page);
-        *self.counts.entry(page).or_insert(0) += 1;
+        self.counts[idx] += 1;
         if self.order.len() > self.depth {
             if let Some(old) = self.order.pop_front() {
-                if let Some(c) = self.counts.get_mut(&old) {
-                    *c -= 1;
-                    if *c == 0 {
-                        self.counts.remove(&old);
-                    }
-                }
+                self.counts[old.0 as usize] -= 1;
             }
         }
     }
 
     fn contains(&self, page: PageId) -> bool {
-        self.counts.contains_key(&page)
+        self.counts.get(page.0 as usize).is_some_and(|&c| c != 0)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The HPE eviction policy (Section IV), implementing
 //! [`uvm_policies::EvictionPolicy`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use uvm_policies::{EvictionPolicy, FaultOutcome};
 use uvm_types::{ConfigError, PageId, PolicyEvent, PolicyStats, SignalDisruption, StrategyTag};
@@ -15,6 +15,9 @@ use crate::hir::{HirCache, HirRecord};
 /// Consecutive HIR flush opportunities that may be lost before HPE stops
 /// trusting its driver-side state and falls back to plain LRU.
 const DEGRADE_AFTER_MISSED_FLUSHES: u32 = 2;
+
+/// `Hpe::resident_since` value of a page with no recorded insertion.
+const NOT_TRACKED: u64 = u64::MAX;
 
 /// An HIR flush delayed in transit (partial outage): its PCIe transfer was
 /// already paid at send time; the records apply — or are discarded as
@@ -79,9 +82,9 @@ pub struct Hpe {
     /// observational: no decision may read these fields.
     tracing: bool,
     trace_events: Vec<PolicyEvent>,
-    /// Fault count at which each resident page was inserted (tracing
-    /// only; empty otherwise).
-    resident_since: HashMap<PageId, u64>,
+    /// Fault count at which each resident page was inserted, indexed by
+    /// page id, [`NOT_TRACKED`] for none (tracing only; empty otherwise).
+    resident_since: Vec<u64>,
     /// HIR conflict evictions already attributed to a flush event.
     conflicts_reported: u64,
     /// The GPU→driver HIR channel is currently down (injected outage).
@@ -139,7 +142,7 @@ impl Hpe {
             hir_entries_transferred: 0,
             tracing: false,
             trace_events: Vec::new(),
-            resident_since: HashMap::new(),
+            resident_since: Vec::new(),
             conflicts_reported: 0,
             hir_channel_down: false,
             missed_flushes: 0,
@@ -173,8 +176,9 @@ impl Hpe {
         self.old_sets_at_full
     }
 
-    /// The per-set counter values snapshotted at first memory-full
-    /// (diagnostics: the raw data behind Fig. 9's ratios).
+    /// The per-set counter values snapshotted at first memory-full, in
+    /// ascending `(set, secondary)` order (diagnostics: the raw data
+    /// behind Fig. 9's ratios).
     pub fn counters_at_full(&self) -> Option<&[u32]> {
         self.counters_at_full.as_deref()
     }
@@ -226,6 +230,19 @@ impl Hpe {
     /// Direct access to the page set chain (diagnostics).
     pub fn chain(&self) -> &PageSetChain {
         &self.chain
+    }
+
+    /// Forgets `page`'s insertion time and returns the fault count it
+    /// was recorded at, if any (tracing bookkeeping).
+    fn forget_resident(&mut self, page: PageId) -> Option<u64> {
+        let at = self.resident_since.get_mut(page.0 as usize)?;
+        Some(std::mem::replace(at, NOT_TRACKED)).filter(|&at| at != NOT_TRACKED)
+    }
+
+    /// Faults since `page` was inserted (0 if untracked), forgetting it.
+    fn victim_age(&mut self, page: PageId) -> u64 {
+        self.forget_resident(page)
+            .map_or(0, |at| self.fault_count.saturating_sub(at))
     }
 
     fn apply_hit(&mut self, page: PageId, count: u32) {
@@ -369,7 +386,11 @@ impl EvictionPolicy for Hpe {
             self.note_adjuster_switch(switches_before);
         }
         if self.tracing {
-            self.resident_since.insert(page, self.fault_count);
+            let idx = page.0 as usize;
+            if idx >= self.resident_since.len() {
+                self.resident_since.resize(idx + 1, NOT_TRACKED);
+            }
+            self.resident_since[idx] = self.fault_count;
         }
         // Faults update the chain (and the bit vector) immediately.
         self.chain.touch(page, 1, true);
@@ -495,10 +516,7 @@ impl EvictionPolicy for Hpe {
             let sel = self.chain.select_victim(StrategyKind::Lru, 0)?;
             self.lru_comparisons += sel.comparisons;
             if self.tracing {
-                let victim_age = self
-                    .resident_since
-                    .remove(&sel.page)
-                    .map_or(0, |at| self.fault_count.saturating_sub(at));
+                let victim_age = self.victim_age(sel.page);
                 self.trace_events.push(PolicyEvent::VictimSelected {
                     page: sel.page,
                     strategy: StrategyTag::Degraded,
@@ -521,10 +539,7 @@ impl EvictionPolicy for Hpe {
         }
         self.adjuster.on_eviction(sel.page);
         if self.tracing {
-            let victim_age = self
-                .resident_since
-                .remove(&sel.page)
-                .map_or(0, |at| self.fault_count.saturating_sub(at));
+            let victim_age = self.victim_age(sel.page);
             self.trace_events.push(PolicyEvent::VictimSelected {
                 page: sel.page,
                 strategy: strategy.into(),
@@ -554,7 +569,7 @@ impl EvictionPolicy for Hpe {
                 // bookkeeping knows the page (the chain is consulted on the
                 // next selection and tolerates stale entries).
                 if self.tracing {
-                    self.resident_since.remove(&page);
+                    self.forget_resident(page);
                 }
             }
             SignalDisruption::HirCircuitOpen => {
@@ -622,17 +637,7 @@ impl EvictionPolicy for Hpe {
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        let (old, middle, new, len) = (
-            self.chain.old_len(),
-            self.chain.middle_len(),
-            self.chain.new_len(),
-            self.chain.len(),
-        );
-        if old + middle + new != len {
-            return Err(format!(
-                "chain partitions old {old} + middle {middle} + new {new} != length {len}"
-            ));
-        }
+        self.chain.check_links()?;
         if let Some(hir) = &self.hir {
             hir.check_invariants()?;
         }
@@ -781,11 +786,22 @@ mod tests {
     }
 
     #[test]
+    fn counters_at_full_follow_key_order() {
+        let mut h = hpe_with(|c| c.use_hir = false);
+        // Sets 9, 2 and 5, faulted in that order with 3, 1 and 2 pages.
+        for (i, page) in [0x90, 0x91, 0x92, 0x20, 0x50, 0x51].into_iter().enumerate() {
+            h.on_fault(PageId(page), i as u64);
+        }
+        h.on_memory_full();
+        assert_eq!(h.counters_at_full(), Some(&[1, 2, 3][..]));
+    }
+
+    #[test]
     fn select_victim_exhausts_all_pages() {
         let mut h = hpe_with(|c| c.use_hir = false);
         fault_range(&mut h, 0, 48, 0);
         h.on_memory_full();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..48 {
             let v = h.select_victim().expect("48 resident pages");
             assert!(seen.insert(v), "duplicate victim {v}");
@@ -800,11 +816,11 @@ mod tests {
         // HPE must fault substantially less than the all-miss 400.
         struct Driver {
             h: Hpe,
-            resident: std::collections::HashSet<PageId>,
+            resident: std::collections::BTreeSet<PageId>,
         }
         let mut d = Driver {
             h: hpe_with(|c| c.use_hir = false),
-            resident: std::collections::HashSet::new(),
+            resident: std::collections::BTreeSet::new(),
         };
         let capacity = 96; // 6 sets
         let pages = 128u64; // 8 sets

@@ -88,9 +88,9 @@ fn chain_invariants_hold_under_arbitrary_operations() {
                     }
                 }
                 // Partition sizes always sum to the entry count.
-                assert!(
-                    chain.old_len() + chain.middle_len() + chain.new_len()
-                        >= chain.len().saturating_sub(0),
+                assert_eq!(
+                    chain.old_len() + chain.middle_len() + chain.new_len(),
+                    chain.len(),
                 );
             }
 

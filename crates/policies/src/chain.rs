@@ -149,7 +149,7 @@ impl<K: Eq + Hash + Clone> RecencyChain<K> {
         }
     }
 
-    /// Iterates keys from MRU to LRU (HPE's MRU-C searches this way).
+    /// Iterates keys from MRU to LRU.
     pub fn iter_rev(&self) -> Iter<'_, K> {
         Iter {
             chain: self,

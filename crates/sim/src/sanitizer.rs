@@ -30,9 +30,10 @@
 //! * **circuit-breaker** — the HIR breaker is open exactly when its
 //!   failure count reached the threshold;
 //! * **policy-structure** — whatever the policy's own
-//!   `EvictionPolicy::check_invariants` claims (for HPE: chain
-//!   partitions sum to the chain length and the HIR cache's set/tag
-//!   layout is self-consistent).
+//!   `EvictionPolicy::check_invariants` claims (for HPE: each chain
+//!   partition list walks to its stored length with symmetric links and
+//!   matching slot tags, the lists hold every live entry, and the HIR
+//!   cache's set/tag layout is self-consistent).
 //!
 //! # Examples
 //!

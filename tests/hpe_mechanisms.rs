@@ -72,6 +72,17 @@ fn regular_apps_start_with_mruc_and_irregular_with_lru() {
 }
 
 #[test]
+fn counters_at_full_are_deterministic() {
+    // The snapshot follows key order, not hash order: two identical runs
+    // record the same vector.
+    let (_, first) = run_hpe("STN", Oversubscription::Rate75);
+    let (_, second) = run_hpe("STN", Oversubscription::Rate75);
+    let counters = first.counters_at_full().expect("memory filled");
+    assert!(!counters.is_empty());
+    assert_eq!(Some(counters), second.counters_at_full());
+}
+
+#[test]
 fn nw_divides_page_sets() {
     // Section IV-C: NW's even/odd phases force page set division.
     let (_, hpe) = run_hpe("NW", Oversubscription::Rate75);
