@@ -12,13 +12,21 @@
 //! Each policy runs twice: the two digests must match each other
 //! (stream determinism) and the pinned snapshot. Re-pin intentional
 //! changes from the "actual" string in the failure message.
+//!
+//! The profile pins do the same for the cycle-attribution profiler:
+//! an FNV-1a digest of `ProfileReport::to_json()` for SGM/HPE/75%, clean
+//! and under completion loss, plus the cadence-1 sanitizer's counts.
 
 use std::collections::BTreeMap;
 
 use hpe::core::{Hpe, HpeConfig};
 use hpe::policies::{ClockPro, ClockProConfig, EvictionPolicy, Lru, Rrip, RripConfig};
-use hpe::sim::{trace_for, FaultPlan, SimEvent, Simulation};
+use hpe::sim::{
+    trace_for, FaultPlan, ProfileConfig, ProfileReport, Profiler, RetryPolicy, Sanitizer, SimEvent,
+    Simulation,
+};
 use hpe::types::{Oversubscription, SimConfig};
+use hpe::util::{fnv1a, ToJson};
 use hpe::workloads::registry;
 
 const APP: &str = "STN";
@@ -171,5 +179,88 @@ fn degraded_run_emits_degraded_strategy_switches() {
     assert!(
         out_of_degraded > 0,
         "HPE must recover from degraded mode once the HIR channel returns"
+    );
+}
+
+/// SGM/HPE/75% with the profiler (default cadence) and, when given, a
+/// cadence-`sanitize` sanitizer attached. Returns the finalized profile
+/// plus the sanitizer's `events_seen`/`checks_run` after the last event
+/// (before the end-of-run pass).
+fn profiled_sgm(
+    plan: Option<(FaultPlan, RetryPolicy)>,
+    sanitize: Option<u64>,
+) -> (ProfileReport, Option<(u64, u64)>) {
+    let cfg = SimConfig::scaled_default();
+    let app = registry::by_abbr("SGM").expect("registered app");
+    let trace = trace_for(&cfg, app);
+    let capacity = Oversubscription::Rate75.capacity_pages(app.footprint_pages());
+    let hpe = Hpe::new(HpeConfig::from_sim(&cfg)).expect("valid HPE");
+    let mut sim = Simulation::new(cfg, &trace, hpe, capacity).expect("valid sim");
+    if let Some((plan, retry)) = plan {
+        sim.set_fault_plan(plan).expect("valid plan");
+        sim.set_retry_policy(retry).expect("valid retry policy");
+    }
+    sim.set_profiler(Profiler::new(ProfileConfig::default()));
+    if let Some(cadence) = sanitize {
+        sim.set_sanitizer(Sanitizer::new(cadence));
+    }
+    assert!(sim.run_until(u64::MAX).expect("run completes"));
+    let counts = sim.sanitizer().map(|s| (s.events_seen(), s.checks_run()));
+    let profile = sim.finish().expect("finish").profile;
+    (profile.expect("profiler attached"), counts)
+}
+
+/// Digest of a profile report: the FNV-1a hash of its JSON plus the span
+/// counters the pin must exercise, so a drift names what moved.
+fn profile_digest(report: &ProfileReport) -> String {
+    let s = &report.spans;
+    format!(
+        "fnv={:016x} opened={} coalesced={} refault={} retries={} retry_cycles={}",
+        fnv1a(report.to_json().to_string().as_bytes()),
+        s.opened,
+        s.coalesced_warps,
+        s.refault_spans,
+        s.retries,
+        s.retry_cycles
+    )
+}
+
+#[test]
+fn golden_profile_sgm_hpe() {
+    let (first, counts) = profiled_sgm(None, Some(1));
+    let (second, _) = profiled_sgm(None, None);
+    let digest = profile_digest(&first);
+    assert_eq!(
+        digest,
+        profile_digest(&second),
+        "profile is not byte-stable"
+    );
+    // The clean run must reach the coalesce and wrong-eviction paths.
+    assert!(first.spans.coalesced_warps > 0 && first.spans.refault_spans > 0);
+    assert_eq!(
+        digest,
+        "fnv=d7e447916e15c467 opened=2218 coalesced=226 refault=159 retries=0 retry_cycles=0",
+        "SGM/HPE profile drifted from the pinned snapshot.\nactual: {digest}"
+    );
+    assert_eq!(
+        counts,
+        Some((12511, 12511)),
+        "cadence-1 sanitizer counts drifted from the pinned snapshot"
+    );
+}
+
+#[test]
+fn golden_profile_sgm_hpe_completion_loss() {
+    let plan = || Some((FaultPlan::completion_loss(2019), RetryPolicy::adaptive()));
+    let (first, _) = profiled_sgm(plan(), None);
+    let digest = profile_digest(&first);
+    assert_eq!(digest, profile_digest(&profiled_sgm(plan(), None).0));
+    // The lossy run must reach the retry path as well.
+    assert!(first.spans.retries > 0 && first.spans.coalesced_warps > 0);
+    assert!(first.spans.refault_spans > 0);
+    assert_eq!(
+        digest,
+        "fnv=3d39657a13436197 opened=2218 coalesced=226 refault=159 retries=111 retry_cycles=824647",
+        "SGM/HPE completion-loss profile drifted from the pinned snapshot.\nactual: {digest}"
     );
 }
