@@ -20,8 +20,8 @@
 //!                                          # windows + seed batches, check invariants,
 //!                                          # shrink failures to minimal repro files
 //! hpe-chaos replay repro.json              # one-command deterministic counterexample replay
-//! hpe-chaos tenants --tenants 4 --workers 2 # multi-tenant mix: quotas, admission control,
-//!                                          # and (with --plan) fault blast-radius containment
+//! hpe-chaos tenants --tenants 4 --workers 2 # isolated-partition tenant mix: quotas, admission
+//!                                          # control, and (with --plan) the containment wiring check
 //! ```
 //!
 //! Campaign results are saved as JSON under `target/paper-results/`
@@ -114,12 +114,13 @@ fn usage() -> ExitCode {
          \x20          [--policy NAME] [--seed N] [--workers N]\n\
          \x20          [--plan NAME [--target TENANT]]\n\
          \x20          run N tenants (cycling the listed apps; default\n\
-         \x20          STN/MVT/CUT) through admission control against a\n\
-         \x20          shared residency pool and print per-tenant outcomes\n\
-         \x20          and fairness metrics; with --plan, scope the fault\n\
-         \x20          plan to --target (default tenant 0) and verify the\n\
-         \x20          blast radius: every other tenant's stats must be\n\
-         \x20          byte-identical to the fault-free mix (exit 1 on leak)\n\
+         \x20          STN/MVT/CUT) as isolated partitions, each its own\n\
+         \x20          simulation, through admission control against one\n\
+         \x20          residency budget and print per-tenant outcomes and\n\
+         \x20          fairness metrics; with --plan, scope the fault plan\n\
+         \x20          to --target (default tenant 0) and run the wiring\n\
+         \x20          check: every other tenant's stats must be\n\
+         \x20          byte-identical to the fault-free mix (exit 1 if not)\n\
          \n\
          common flags: --adaptive makes --retry use the loss-adaptive\n\
          backoff policy (tunes delay online from the observed\n\
@@ -908,9 +909,10 @@ fn cmd_replay(flags: &Flags) -> Result<(), CmdError> {
 }
 
 /// `tenants`: run a multi-tenant mix through admission control and print
-/// per-tenant outcomes plus fairness metrics. With `--plan`, the fault
-/// plan is scoped to `--target` and the blast radius is verified: every
-/// non-target tenant's stats must be byte-identical to the fault-free mix.
+/// per-tenant outcomes plus fairness metrics. Each tenant is its own
+/// simulation (an isolated partition). With `--plan`, the fault plan is
+/// scoped to `--target` and the wiring check runs: every non-target
+/// tenant's stats must be byte-identical to the fault-free mix.
 fn cmd_tenants(flags: &Flags) -> Result<(), CmdError> {
     let pool: Vec<&str> = if flags.positional.is_empty() {
         CONTAINMENT_APPS.to_vec()

@@ -10,7 +10,7 @@
 //!
 //! ```sh
 //! hpe-lint check                               # all rule families, repo root
-//! hpe-lint check --rules error-discipline      # one family (profile-guard)
+//! hpe-lint check --rules determinism           # one family (hash-iteration)
 //! hpe-lint check --rules determinism,panic-reachability --json
 //! hpe-lint check path/to/checkout              # explicit root
 //! hpe-lint rules                               # list families and rules
@@ -38,9 +38,9 @@ fn usage() -> ExitCode {
          \x20 check [--rules FAMILY[,FAMILY..]] [--json] [ROOT]\n\
          \x20       lint the workspace at ROOT (default: the enclosing\n\
          \x20       checkout) with the selected rule families\n\
-         \x20       (default: all of determinism, error-discipline,\n\
-         \x20       paper-constants, panic-reachability,\n\
-         \x20       determinism-taint, stale-allow, explore-specs)\n\
+         \x20       (default: all of determinism, paper-constants,\n\
+         \x20       panic-reachability, determinism-taint,\n\
+         \x20       stale-allow, explore-specs)\n\
          \x20 graph [SYMBOL] [--json] [ROOT]\n\
          \x20       call-graph view: without SYMBOL the roots, every\n\
          \x20       reachable panic site (annotated or not) with its\n\
@@ -420,15 +420,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          with `// lint:allow(hash-iteration)` and say why.",
     ),
     (
-        "profile-guard",
-        "Profiler accumulation must sit behind the opt-in guard\n\
-         (`if let Some(prof) = self.profiler.as_mut()`) so the hot path\n\
-         pays nothing when profiling is off. Only a `Some(<receiver>)`\n\
-         binding on the call line or up to 40 lines above it in the same\n\
-         fn counts; a guard of anything else does not. Scope:\n\
-         crates/sim/src except profile.rs.",
-    ),
-    (
         "paper-constants",
         "Config constructors named in the lint manifest must keep the\n\
          paper's pinned literals (epoch lengths, thresholds, geometry).\n\
@@ -499,9 +490,6 @@ fn cmd_rules() -> ExitCode {
     println!(
         "determinism        hash-iteration\n\
          \x20                  (crates/{{sim,core,policies,workloads}}/src)\n\
-         error-discipline   profile-guard (profiler accumulation outside\n\
-         \x20                  the opt-in guard; crates/sim/src except\n\
-         \x20                  profile.rs)\n\
          paper-constants    paper-constants (config constructors vs the\n\
          \x20                  declared manifest)\n\
          panic-reachability panic-reachability (panic sites the call\n\

@@ -469,18 +469,29 @@ mod tests {
         let cfg = bench_config();
         let app = registry::by_abbr("STN").unwrap();
         let rate = Oversubscription::Rate75;
-        for kind in [PolicyKind::Lru, PolicyKind::Hpe] {
+        // The last input attaches observer, profiler and a cadence-1
+        // sanitizer at once.
+        for (kind, sanitize) in [
+            (PolicyKind::Lru, None),
+            (PolicyKind::Hpe, None),
+            (PolicyKind::Hpe, Some(1)),
+        ] {
             let plain = run_policy(&cfg, app, rate, kind).unwrap();
-            let spec = RunSpec {
-                kind,
-                recovery: RecoveryOptions {
-                    profile: Some(1 << 18),
-                    ..RecoveryOptions::default()
-                },
-                trace: true,
-                ..RunSpec::default()
+            let traced = |recovery| {
+                let spec = RunSpec {
+                    kind,
+                    recovery,
+                    trace: true,
+                    ..RunSpec::default()
+                };
+                run(&cfg, app, rate, &spec).unwrap()
             };
-            let out = run(&cfg, app, rate, &spec).unwrap();
+            let observed = traced(RecoveryOptions::default());
+            let out = traced(RecoveryOptions {
+                profile: Some(1 << 18),
+                sanitize,
+                ..RecoveryOptions::default()
+            });
             assert_eq!(
                 out.result.stats.to_json().to_string(),
                 plain.stats.to_json().to_string(),
@@ -489,6 +500,11 @@ mod tests {
             let capture = out.trace.expect("trace requested");
             assert_eq!(capture.counters.faults_raised, plain.stats.faults());
             assert!(!capture.log.events().is_empty());
+            // Sharing the engine tap with the profiler and the sanitizer
+            // leaves the observer's stream exactly as an observer-only
+            // run sees it.
+            let alone = observed.trace.expect("trace requested");
+            assert_eq!(capture.log.events(), alone.log.events(), "{kind:?}");
             assert!(out.profile.is_some());
             assert_eq!(out.result.hpe.is_some(), kind == PolicyKind::Hpe);
         }

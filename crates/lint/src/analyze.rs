@@ -102,7 +102,7 @@ mod tests {
         let lines = analyze("x.unwrap(); // lint:allow(rng-taint, hash-iteration)");
         assert!(lines[0].allows("rng-taint"));
         assert!(lines[0].allows("hash-iteration"));
-        assert!(!lines[0].allows("profile-guard"));
+        assert!(!lines[0].allows("panic-reachability"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! 2. **Blanked per-line code** ([`LineMeta`]): the original line with
 //!    comment prose and literal contents replaced by spaces (same
 //!    character length, so column arithmetic holds). The line-oriented
-//!    rule families (determinism, error-discipline, paper-constants)
+//!    rule families (determinism, paper-constants)
 //!    match against this view exactly as the v1
 //!    analyzer did, which is what keeps their golden diagnostics
 //!    byte-identical across the engine rewrite.

@@ -21,7 +21,6 @@
 //! | Family | Rules | Scope |
 //! |---|---|---|
 //! | `determinism` | `hash-iteration` | `crates/{sim,core,policies,workloads}/src` |
-//! | `error-discipline` | `profile-guard` | `crates/sim/src` except `profile.rs`, non-test |
 //! | `paper-constants` | `paper-constants` | manifest files (see [`manifest::MANIFEST`]) |
 //! | `panic-reachability` | `panic-reachability` | call graph from `Simulation::run` / `MixState` / worker roots, outside [`rules::CLIPPY_PANIC_CRATES`] |
 //! | `determinism-taint` | `rng-taint` | every indexed `Rng::seed_from_u64` call |
@@ -40,11 +39,11 @@
 //!
 //! let diags = check_source(
 //!     "crates/sim/src/demo.rs",
-//!     "fn f(prof: &mut Profiler) { prof.charge(A, 1) }\n",
-//!     &[RuleFamily::ErrorDiscipline],
+//!     "fn f(m: HashMap<u64, u64>) { m.keys().count(); }\n",
+//!     &[RuleFamily::Determinism],
 //! );
 //! assert_eq!(diags.len(), 1);
-//! assert_eq!(diags[0].rule, "profile-guard");
+//! assert_eq!(diags[0].rule, "hash-iteration");
 //! assert_eq!(diags[0].line, 1);
 //! ```
 
@@ -72,9 +71,6 @@ use rules::AllowTracker;
 pub enum RuleFamily {
     /// Bans hash-order iteration in the deterministic crates.
     Determinism,
-    /// Keeps profiler accumulation behind the opt-in guard in engine
-    /// code.
-    ErrorDiscipline,
     /// Cross-checks config literals against the paper-constants
     /// manifest.
     PaperConstants,
@@ -93,20 +89,17 @@ impl RuleFamily {
     /// Every family, in reporting order.
     pub const ALL: &'static [RuleFamily] = &[
         RuleFamily::Determinism,
-        RuleFamily::ErrorDiscipline,
         RuleFamily::PaperConstants,
         RuleFamily::PanicReachability,
         RuleFamily::DeterminismTaint,
         RuleFamily::StaleAllow,
     ];
 
-    /// The CLI label (`determinism`, `error-discipline`,
-    /// `paper-constants`, `panic-reachability`, `determinism-taint`,
-    /// `stale-allow`).
+    /// The CLI label (`determinism`, `paper-constants`,
+    /// `panic-reachability`, `determinism-taint`, `stale-allow`).
     pub fn label(self) -> &'static str {
         match self {
             RuleFamily::Determinism => "determinism",
-            RuleFamily::ErrorDiscipline => "error-discipline",
             RuleFamily::PaperConstants => "paper-constants",
             RuleFamily::PanicReachability => "panic-reachability",
             RuleFamily::DeterminismTaint => "determinism-taint",
@@ -394,10 +387,16 @@ mod tests {
 
     #[test]
     fn check_source_orders_by_line() {
-        let text = "fn f(b: &mut P, a: &mut P) {\n  b.charge(X, 1);\n  a.charge(X, 2);\n}\n";
+        // The stale allow is found by the last pass, after the
+        // hash-iteration hit below it.
+        let text = "struct S { m: HashMap<u64, u64> }\n\
+                    fn f(s: &S) -> usize {\n\
+                    \x20 let y = 3; // lint:allow(no-such-rule)\n\
+                    \x20 s.m.keys().count()\n\
+                    }\n";
         let d = check_source("crates/sim/src/x.rs", text, RuleFamily::ALL);
-        assert_eq!(d.len(), 2);
-        assert!(d[0].line < d[1].line);
+        let hits: Vec<(u64, &str)> = d.iter().map(|d| (d.line, d.rule)).collect();
+        assert_eq!(hits, vec![(3, "stale-allow"), (4, "hash-iteration")]);
     }
 
     #[test]

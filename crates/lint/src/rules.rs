@@ -23,8 +23,6 @@ pub const RULE_HASH_ITERATION: &str = "hash-iteration";
 /// Rule id: a literal in a config constructor drifted from the paper's
 /// constants manifest.
 pub const RULE_PAPER_CONSTANTS: &str = "paper-constants";
-/// Rule id: profiler accumulation outside the opt-in guard.
-pub const RULE_PROFILE_GUARD: &str = "profile-guard";
 /// Rule id: a panic site transitively reachable from a simulation /
 /// campaign root (call-graph rule).
 pub const RULE_PANIC_REACHABILITY: &str = "panic-reachability";
@@ -43,7 +41,6 @@ pub const RULE_STALE_ALLOW: &str = "stale-allow";
 /// stale.
 const ALLOW_CONSUMERS: &[(&str, RuleFamily)] = &[
     (RULE_HASH_ITERATION, RuleFamily::Determinism),
-    (RULE_PROFILE_GUARD, RuleFamily::ErrorDiscipline),
     (RULE_PANIC_REACHABILITY, RuleFamily::PanicReachability),
     (RULE_RNG_TAINT, RuleFamily::DeterminismTaint),
     (RULE_STALE_ALLOW, RuleFamily::StaleAllow),
@@ -63,28 +60,6 @@ const DETERMINISM_SCOPE: &[&str] = &[
     "crates/policies/src/",
     "crates/workloads/src/",
 ];
-
-/// Profiler accumulation methods: mutate profiler state, so every call
-/// site outside `profile.rs` itself must sit behind the opt-in guard
-/// (`if let Some(prof) = self.profiler.as_mut()` or equivalent) — the
-/// profiler is observation-only and must cost nothing when detached.
-const PROFILE_ACCUM_TOKENS: &[&str] = &[
-    ".charge(",
-    ".open_span(",
-    ".close_span(",
-    ".begin_service(",
-    ".note_retry(",
-    ".note_coalesce(",
-    ".mark_wrong_eviction(",
-    ".warp_stalled(",
-    ".warp_resumed(",
-    ".record_samples(",
-];
-
-/// How many lines above an accumulation call the binding guard may sit
-/// (the guard block can open well before a multi-line charge
-/// computation; the search never crosses a function boundary).
-const PROFILE_GUARD_WINDOW: usize = 40;
 
 /// Methods whose call on a `HashMap`/`HashSet` visits entries in hash
 /// order.
@@ -139,28 +114,6 @@ fn in_scope(rel_path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|p| rel_path.starts_with(p))
 }
 
-/// Finds `token` in `code` at an identifier boundary (the characters
-/// immediately before and after the match are not identifier
-/// characters). Returns the match offset.
-fn find_token(code: &str, token: &str) -> Option<usize> {
-    let mut start = 0;
-    while let Some(at) = code[start..].find(token) {
-        let at = start + at;
-        let before_ok = at == 0
-            || !is_ident_char(code[..at].chars().next_back().unwrap_or(' '))
-            || !token.starts_with(|c: char| is_ident_char(c));
-        let end = at + token.len();
-        let after_ok = end >= code.len()
-            || !is_ident_char(code[end..].chars().next().unwrap_or(' '))
-            || !token.ends_with(|c: char| is_ident_char(c));
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        start = at + 1;
-    }
-    None
-}
-
 /// Runs every per-line rule of the requested `families` over one
 /// analyzed file, recording consumed allows in `tracker`.
 pub fn scan_lines(
@@ -172,12 +125,6 @@ pub fn scan_lines(
     let mut diags = Vec::new();
     if families.contains(&RuleFamily::Determinism) && in_scope(rel_path, DETERMINISM_SCOPE) {
         scan_hash_iteration(rel_path, lines, tracker, &mut diags);
-    }
-    if families.contains(&RuleFamily::ErrorDiscipline)
-        && rel_path.starts_with("crates/sim/src/")
-        && !rel_path.ends_with("/profile.rs")
-    {
-        scan_profile_guard(rel_path, lines, tracker, &mut diags);
     }
     if families.contains(&RuleFamily::PaperConstants) {
         crate::manifest::scan(rel_path, lines, &mut diags);
@@ -349,76 +296,6 @@ pub fn scan_stale_allows(
         }
     }
     diags
-}
-
-/// Error-discipline rule: profiler accumulation behind the opt-in
-/// guard.
-///
-/// Every call to a [`PROFILE_ACCUM_TOKENS`] method in engine code must
-/// be visibly conditional on the profiler being attached: the receiver
-/// bound by a `Some(<recv>)` pattern on the call line or within
-/// [`PROFILE_GUARD_WINDOW`] lines above it inside the same function. An
-/// unrelated guard nearby (another binding, an `is_some()` test) does
-/// not count. Anything else charges profiler state on untraced runs —
-/// exactly the cost the opt-in design promises away.
-fn scan_profile_guard(
-    rel_path: &str,
-    lines: &[LineInfo],
-    tracker: &mut AllowTracker,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for (n, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-        for token in PROFILE_ACCUM_TOKENS {
-            let Some(at) = find_token(code, token) else {
-                continue;
-            };
-            if profile_call_is_guarded(lines, n, code, at) {
-                continue;
-            }
-            if !tracker.allowed(rel_path, lines, n, RULE_PROFILE_GUARD) {
-                diags.push(Diagnostic::new(
-                    rel_path,
-                    n as u64 + 1,
-                    RULE_PROFILE_GUARD,
-                    format!(
-                        "profiler accumulation `{token}..)` outside the opt-in guard; wrap it \
-                         in `if let Some(prof) = self.profiler.as_mut()` (or annotate with \
-                         `// lint:allow(profile-guard)`)"
-                    ),
-                ));
-            }
-            break;
-        }
-    }
-}
-
-/// Whether an accumulation call at offset `at` of line `n` is covered by
-/// a `Some(<receiver>)` binding on the call line or within the window
-/// above, without crossing a function boundary.
-fn profile_call_is_guarded(lines: &[LineInfo], n: usize, code: &str, at: usize) -> bool {
-    let Some(recv) = receiver_before(code, at) else {
-        // No plain identifier receiver (e.g. a parenthesized
-        // expression): nothing a binding could name.
-        return false;
-    };
-    let binding = format!("Some({recv})");
-    for i in (n.saturating_sub(PROFILE_GUARD_WINDOW)..=n).rev() {
-        let above = &lines[i].code;
-        if above.contains(&binding) {
-            return true;
-        }
-        let trimmed = above.trim_start();
-        if trimmed.starts_with("fn ") || above.contains(" fn ") {
-            // Crossed into the enclosing function's signature (or a
-            // previous function) without meeting a guard.
-            return false;
-        }
-    }
-    false
 }
 
 /// Determinism rule: iteration over hash containers.
@@ -633,92 +510,15 @@ mod tests {
 
     #[test]
     fn standalone_allow_line_covers_the_next_code_line() {
-        let text = "fn f(p: &mut P) {\n  // lint:allow(profile-guard) — guarded by the caller\n  p.charge(A, 1);\n  p.charge(A, 2);\n}\n";
-        let d = scan_at("crates/sim/src/a.rs", text, RuleFamily::ErrorDiscipline);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 4);
-    }
-
-    #[test]
-    fn profile_guard_flags_unguarded_accumulation() {
-        let text = "fn f(prof: &mut Profiler) {\n  prof.charge(A, 1);\n}\n";
-        let d = scan_at(
-            "crates/sim/src/engine.rs",
-            text,
-            RuleFamily::ErrorDiscipline,
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, RULE_PROFILE_GUARD);
-        assert_eq!(d[0].line, 2);
-    }
-
-    #[test]
-    fn profile_guard_accepts_guarded_and_distant_guarded_calls() {
-        // Guard on the binding line, accumulation several lines below
-        // (multi-line charge computations), still within the window.
-        let text = "fn f(&mut self) {\n\
-                    \x20 if let Some(prof) = self.profiler.as_mut() {\n\
-                    \x20   let a = 1;\n\
-                    \x20   let b = 2;\n\
-                    \x20   let c = a + b;\n\
-                    \x20   prof.charge(A, c);\n\
-                    \x20   prof.warp_stalled(0, c);\n\
-                    \x20 }\n\
+        let text = "struct S { stamps: HashMap<u64, u64> }\n\
+                    fn f(s: &S) {\n\
+                    \x20 // lint:allow(hash-iteration) — order-insensitive count\n\
+                    \x20 s.stamps.iter().count();\n\
+                    \x20 s.stamps.iter().count();\n\
                     }\n";
-        let d = scan_at(
-            "crates/sim/src/engine.rs",
-            text,
-            RuleFamily::ErrorDiscipline,
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn profile_guard_stops_at_function_boundaries() {
-        // A guard in a *previous* function must not cover this one.
-        let text = "fn g(&mut self) {\n\
-                    \x20 if let Some(prof) = self.profiler.as_mut() {\n\
-                    \x20   prof.charge(A, 1);\n\
-                    \x20 }\n\
-                    }\n\
-                    fn f(prof: &mut Profiler) {\n\
-                    \x20 prof.note_retry(1, 2);\n\
-                    }\n";
-        let d = scan_at(
-            "crates/sim/src/engine.rs",
-            text,
-            RuleFamily::ErrorDiscipline,
-        );
+        let d = scan_at("crates/sim/src/a.rs", text, RuleFamily::Determinism);
         assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 7);
-    }
-
-    #[test]
-    fn profile_guard_needs_a_binding_of_the_receiver() {
-        // An unrelated `if let Some`, `.as_mut()` or `is_some` nearby is
-        // not a guard: only a `Some(<receiver>)` binding is.
-        let text = "fn f(&mut self) {\n\
-                    \x20 if let Some(fs) = self.faults.as_mut() { fs.tick(); }\n\
-                    \x20 let done = self.faults.is_some();\n\
-                    \x20 self.prof.open_span(1, 2);\n\
-                    \x20 if let Some(p) = self.prof.as_mut() { p.close_span(1, 3); }\n\
-                    }\n";
-        let d = scan_at(
-            "crates/sim/src/engine.rs",
-            text,
-            RuleFamily::ErrorDiscipline,
-        );
-        let lines: Vec<u64> = d.iter().map(|d| d.line).collect();
-        assert_eq!(lines, vec![4], "{d:?}");
-    }
-
-    #[test]
-    fn profile_guard_exempts_profile_rs_and_out_of_scope_files() {
-        let text = "fn f(prof: &mut Profiler) {\n  prof.charge(A, 1);\n}\n";
-        for path in ["crates/sim/src/profile.rs", "crates/bench/src/runner.rs"] {
-            let d = scan_at(path, text, RuleFamily::ErrorDiscipline);
-            assert!(d.is_empty(), "{path}: {d:?}");
-        }
+        assert_eq!(d[0].line, 5);
     }
 
     #[test]
@@ -828,19 +628,20 @@ mod tests {
 
     #[test]
     fn stale_allow_flags_unused_and_unknown_ids() {
-        let text = "fn f(p: &mut P) -> u32 {\n\
-                    \x20 let y = 3; // lint:allow(profile-guard)\n\
+        let text = "struct S { stamps: HashMap<u64, u64> }\n\
+                    fn f(s: &S) -> usize {\n\
+                    \x20 let y = 3; // lint:allow(hash-iteration)\n\
                     \x20 let z = 4; // lint:allow(no-such-rule)\n\
-                    \x20 p.charge(A, 1) // lint:allow(profile-guard) — used, stays clean\n\
+                    \x20 s.stamps.iter().count() // lint:allow(hash-iteration) — used, stays clean\n\
                     }\n";
         let d = check_source("crates/sim/src/a.rs", text, RuleFamily::ALL);
         let hits: Vec<(u64, &str)> = d.iter().map(|d| (d.line, d.rule)).collect();
         assert_eq!(
             hits,
-            vec![(2, RULE_STALE_ALLOW), (3, RULE_STALE_ALLOW)],
+            vec![(3, RULE_STALE_ALLOW), (4, RULE_STALE_ALLOW)],
             "{d:?}"
         );
-        assert!(d[0].message.contains("profile-guard"));
+        assert!(d[0].message.contains("hash-iteration"));
         assert!(d[1].message.contains("no-such-rule"));
     }
 
@@ -852,7 +653,7 @@ mod tests {
         let d = check_source(
             "crates/sim/src/a.rs",
             text,
-            &[RuleFamily::ErrorDiscipline, RuleFamily::StaleAllow],
+            &[RuleFamily::DeterminismTaint, RuleFamily::StaleAllow],
         );
         assert!(d.is_empty(), "{d:?}");
         let d = check_source(
@@ -866,8 +667,13 @@ mod tests {
 
     #[test]
     fn test_regions_are_exempt() {
-        let text = "fn f() {}\n#[cfg(test)]\nmod tests { fn g(p: &mut P) { p.charge(A, 1); } }\n";
-        let d = scan_at("crates/sim/src/a.rs", text, RuleFamily::ErrorDiscipline);
-        assert!(d.is_empty());
+        let decl = "struct S { stamps: HashMap<u64, u64> }\n";
+        let body = "fn g(s: &S) { s.stamps.iter().count(); }\n";
+        let outside = format!("{decl}{body}");
+        let inside = format!("{decl}#[cfg(test)]\nmod tests {{ {body} }}\n");
+        let d = scan_at("crates/sim/src/a.rs", &outside, RuleFamily::Determinism);
+        assert_eq!(d.len(), 1, "{d:?}");
+        let d = scan_at("crates/sim/src/a.rs", &inside, RuleFamily::Determinism);
+        assert!(d.is_empty(), "{d:?}");
     }
 }

@@ -23,10 +23,6 @@ use uvm_lint::{check_source, check_workspace, report_json, Diagnostic, RuleFamil
 const FIXTURES: &[(&str, &str)] = &[
     ("determinism.rs", "crates/sim/src/fixture_determinism.rs"),
     ("constants.rs", "crates/core/src/config.rs"),
-    (
-        "profile_guard.rs",
-        "crates/sim/src/fixture_profile_guard.rs",
-    ),
     ("panic_reachability.rs", "crates/bench/src/fixture_panic.rs"),
     ("rng_taint.rs", "crates/sim/src/fixture_rng_taint.rs"),
     ("stale_allow.rs", "crates/sim/src/fixture_stale_allow.rs"),
@@ -70,25 +66,6 @@ fn constants_fixture_reports_drifted_literal() {
     assert!(d[0].message.contains("interval_len"));
     assert!(d[0].message.contains("63"));
     assert!(d[0].message.contains("64"));
-}
-
-#[test]
-fn profile_guard_fixture_reports_the_unguarded_sites_only() {
-    let d = lint_fixture("profile_guard.rs");
-    // Line 13 is a bare call; lines 33 and 38 sit below a guard of
-    // something else (another binding, an `is_some()` test).
-    assert_eq!(
-        lines_and_rules(&d),
-        vec![
-            (13, "profile-guard"),
-            (33, "profile-guard"),
-            (38, "profile-guard")
-        ],
-        "{d:?}"
-    );
-    assert!(d[0].message.contains("opt-in guard"));
-    // Guarded (line 19) and annotated (line 24) sites must be exempt.
-    assert!(d.iter().all(|d| d.line != 19 && d.line != 24));
 }
 
 #[test]

@@ -17,7 +17,7 @@ use uvm_util::ToJson;
 use crate::checkpoint::Checkpoint;
 use crate::faults::{FaultPlan, FaultState};
 use crate::memory::GpuMemory;
-use crate::observer::{EventLog, SimEvent, SimObserver};
+use crate::observer::{EventLog, SimEvent, SimObserver, Tap};
 use crate::profile::{MetricsSample, ProfileReport, Profiler};
 use crate::recovery::{CircuitBreaker, FallbackVictim, LossEstimator, LruShadow, RetryPolicy};
 use crate::sanitizer::Sanitizer;
@@ -85,6 +85,15 @@ struct Warp {
     issued: bool,
 }
 
+/// Whatever observes a run, each part opt-in and observation-only; only
+/// [`Simulation::tap`] reads it.
+#[derive(Debug, Default)]
+struct Attached {
+    observer: Option<Rc<RefCell<dyn SimObserver>>>,
+    profiler: Option<Profiler>,
+    sanitizer: Option<Sanitizer>,
+}
+
 /// Result of a simulation run: the statistics plus the policy itself, so
 /// callers can inspect policy-specific state (e.g. HPE's classification or
 /// strategy timeline).
@@ -132,8 +141,9 @@ pub struct Simulation<P> {
     footprint_pages: u64,
     memory_full_notified: bool,
     recent_evictions: VecDeque<PageId>,
-    recent_counts: HashMap<PageId, u32>,
-    observer: Option<Rc<RefCell<dyn SimObserver>>>,
+    /// Per page in `recent_evictions`: how often it occurs there, and the
+    /// eviction number (`stats.driver.evictions`) of its latest eviction.
+    recent_counts: HashMap<PageId, (u32, u64)>,
     stats: SimStats,
     /// Active fault-injection state, if a plan was installed.
     faults: Option<FaultState>,
@@ -162,13 +172,9 @@ pub struct Simulation<P> {
     shadow: LruShadow,
     /// The `run_until` limit the run is currently paused at.
     paused_at: Option<u64>,
-    /// Opt-in runtime invariant checker; `None` (the default) costs one
-    /// branch per event and nothing else.
-    sanitizer: Option<Sanitizer>,
-    /// Opt-in cycle-attribution profiler; `None` (the default) costs one
-    /// branch per event and nothing else. Observation-only: a profiled
-    /// run's `SimStats` are byte-identical to an unprofiled run's.
-    profiler: Option<Profiler>,
+    /// Observer, profiler and sanitizer, when any is attached; `None`
+    /// (the default) makes every [`Self::tap`] return at its first branch.
+    attached: Option<Box<Attached>>,
 }
 
 impl<P: EvictionPolicy> Simulation<P> {
@@ -235,7 +241,6 @@ impl<P: EvictionPolicy> Simulation<P> {
             memory_full_notified: false,
             recent_evictions: VecDeque::new(),
             recent_counts: HashMap::new(),
-            observer: None,
             stats: SimStats::default(),
             faults: None,
             events_since_progress: 0,
@@ -248,8 +253,7 @@ impl<P: EvictionPolicy> Simulation<P> {
             fallback: FallbackVictim::default(),
             shadow: LruShadow::default(),
             paused_at: None,
-            sanitizer: None,
-            profiler: None,
+            attached: None,
         };
         for w in 0..sim.warps.len() {
             if !sim.warps[w].ops.is_empty() {
@@ -306,12 +310,12 @@ impl<P: EvictionPolicy> Simulation<P> {
     /// read-only, so a sanitized run's [`SimStats`] are byte-identical
     /// to an unsanitized run's.
     pub fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
-        self.sanitizer = Some(sanitizer);
+        self.attached.get_or_insert_default().sanitizer = Some(sanitizer);
     }
 
     /// The installed sanitizer, if any (for inspecting check counts).
     pub fn sanitizer(&self) -> Option<&Sanitizer> {
-        self.sanitizer.as_ref()
+        self.attached.as_ref()?.sanitizer.as_ref()
     }
 
     /// Installs the opt-in cycle-attribution profiler (see
@@ -326,13 +330,13 @@ impl<P: EvictionPolicy> Simulation<P> {
     /// run profiles only the cycles it executed itself.
     pub fn set_profiler(&mut self, mut profiler: Profiler) {
         profiler.set_capacity(self.memory.capacity());
-        self.profiler = Some(profiler);
+        self.attached.get_or_insert_default().profiler = Some(profiler);
     }
 
     /// The installed profiler, if any (for inspecting span counts
     /// mid-run, between [`Self::run_until`] calls).
     pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
+        self.attached.as_ref()?.profiler.as_ref()
     }
 
     /// Runs the simulation to completion.
@@ -381,27 +385,13 @@ impl<P: EvictionPolicy> Simulation<P> {
                     in_flight: self.in_flight.len() as u64,
                 });
             }
-            // Metrics registry: engine state is constant between events,
-            // so crossed cadence boundaries sample the pre-event state.
-            let profile_sample_due = self
-                .profiler
-                .as_ref()
-                .is_some_and(|p| p.sample_due(self.now));
-            if profile_sample_due {
-                self.record_profile_sample();
-            }
+            self.tap(Tap::Clock)?;
             match ev.kind {
                 EventKind::WarpReady(w) => self.step_warp(w)?,
                 EventKind::DriverDone(page) => self.driver_done(page)?,
                 EventKind::DriverPickup => self.pickup_next_fault()?,
             }
-            let sanitize_due = match &mut self.sanitizer {
-                Some(s) => s.tick(),
-                None => false,
-            };
-            if sanitize_due {
-                self.sanitize_check()?;
-            }
+            self.tap(Tap::Retired)?;
         }
         self.paused_at = None;
         Ok(true)
@@ -424,36 +414,32 @@ impl<P: EvictionPolicy> Simulation<P> {
             est.record(lost.is_some());
         }
         match lost {
-            Some(plan_delay) => match self.retry {
-                Some(rp) => {
-                    self.completion_attempts += 1;
-                    if self.completion_attempts >= rp.max_attempts() {
-                        return Err(SimError::RetriesExhausted {
-                            page,
-                            cycle: self.now,
-                            attempts: self.completion_attempts,
-                        });
-                    }
-                    let delay = match (rp, &self.loss) {
-                        (RetryPolicy::Adaptive(a), Some(est)) => {
-                            a.delay_for(self.completion_attempts, est.lost(), est.observed())
+            Some(plan_delay) => {
+                let delay = match self.retry {
+                    Some(rp) => {
+                        self.completion_attempts += 1;
+                        if self.completion_attempts >= rp.max_attempts() {
+                            return Err(SimError::RetriesExhausted {
+                                page,
+                                cycle: self.now,
+                                attempts: self.completion_attempts,
+                            });
                         }
-                        _ => rp.delay_for(self.completion_attempts),
-                    };
-                    self.stats.resilience.retry_attempts += 1;
-                    self.stats.resilience.retry_backoff_cycles += delay;
-                    if let Some(prof) = self.profiler.as_mut() {
-                        prof.note_retry(page, delay);
+                        let delay = match (rp, &self.loss) {
+                            (RetryPolicy::Adaptive(a), Some(est)) => {
+                                a.delay_for(self.completion_attempts, est.lost(), est.observed())
+                            }
+                            _ => rp.delay_for(self.completion_attempts),
+                        };
+                        self.stats.resilience.retry_attempts += 1;
+                        self.stats.resilience.retry_backoff_cycles += delay;
+                        delay
                     }
-                    self.schedule(self.now + delay, EventKind::DriverDone(page));
-                }
-                None => {
-                    if let Some(prof) = self.profiler.as_mut() {
-                        prof.note_retry(page, plan_delay);
-                    }
-                    self.schedule(self.now + plan_delay, EventKind::DriverDone(page));
-                }
-            },
+                    None => plan_delay,
+                };
+                self.tap(Tap::Retry { page, delay })?;
+                self.schedule(self.now + delay, EventKind::DriverDone(page));
+            }
             None => {
                 self.completion_attempts = 0;
                 self.finish_fault(page)?;
@@ -477,18 +463,13 @@ impl<P: EvictionPolicy> Simulation<P> {
         }
         // Final sanitizer pass regardless of cadence phase, so a
         // corruption in the run's tail cannot slip out unchecked.
-        if let Some(s) = &mut self.sanitizer {
-            s.note_final_check();
-        }
-        if self.sanitizer.is_some() {
-            self.sanitize_check()?;
-        }
+        self.tap(Tap::Finished)?;
         self.stats.policy = self.policy.stats();
         // Finalize the profile last: `stats.cycles` is now the run's
         // total, which seeds the driver-idle residual (conservation).
         let profile = self
-            .profiler
-            .take()
+            .attached
+            .and_then(|a| a.profiler)
             .map(|prof| prof.finalize(self.stats.cycles));
         Ok(SimOutcome {
             stats: self.stats,
@@ -497,25 +478,6 @@ impl<P: EvictionPolicy> Simulation<P> {
             hir_down: self.faults.as_ref().is_some_and(|fs| fs.hir_down),
             hir_clean_streak_faults: self.hir_clean_streak_faults,
         })
-    }
-
-    /// Feeds the metrics registry one snapshot of engine state for every
-    /// cadence boundary at or before `now`. Read-only on engine state.
-    fn record_profile_sample(&mut self) {
-        let snapshot = MetricsSample {
-            cycle: 0, // stamped per boundary by the profiler
-            resident_pages: self.memory.len(),
-            fault_backlog: self.fault_queue.len() as u64 + u64::from(self.in_service.is_some()),
-            in_flight: self.in_flight.len() as u64,
-            live_warps: self.live_warps as u64,
-            hir_fill: self.policy.hir_fill(),
-            degraded: self.policy.is_degraded(),
-            faults_serviced: self.stats.driver.faults_serviced,
-            evictions: self.stats.driver.evictions,
-        };
-        if let Some(prof) = self.profiler.as_mut() {
-            prof.record_samples(self.now, snapshot);
-        }
     }
 
     /// Snapshots the paused run (see [`Checkpoint`] for what is captured
@@ -579,7 +541,7 @@ impl<P: EvictionPolicy> Simulation<P> {
     /// order, and enables the policy's decision-event tracing (disabled
     /// runs pay nothing; see [`EvictionPolicy::set_tracing`]).
     pub fn set_observer(&mut self, observer: Rc<RefCell<dyn SimObserver>>) {
-        self.observer = Some(observer);
+        self.attached.get_or_insert_default().observer = Some(observer);
         self.policy.set_tracing(true);
     }
 
@@ -590,23 +552,65 @@ impl<P: EvictionPolicy> Simulation<P> {
         log
     }
 
-    fn emit(&self, event: SimEvent) {
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().on_event(event);
-        }
-    }
-
-    /// Forwards the policy's buffered decision events, stamped with the
-    /// current cycle, to the observer. Called after every policy
-    /// interaction that can produce events.
-    fn drain_policy_events(&mut self) {
-        let Some(obs) = self.observer.clone() else {
-            return;
+    /// The engine's one observation point, and the only reader of the
+    /// attachment: hands `tap` to the attached observer and profiler and
+    /// runs the cadence work (metrics samples, sanitizer checks). A
+    /// detached run returns at the first branch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvariantViolated`] when a due sanitizer
+    /// check fails.
+    #[inline(always)]
+    fn tap(&mut self, tap: Tap) -> Result<(), SimError> {
+        let Some(attached) = self.attached.as_deref_mut() else {
+            return Ok(());
         };
-        let now = self.now;
-        self.policy.drain_events(&mut |e| {
-            obs.borrow_mut().on_event(SimEvent::from_policy(e, now));
-        });
+        let check_due = match tap {
+            Tap::Clock => {
+                // Engine state is constant between events, so crossed
+                // cadence boundaries sample the pre-event state.
+                if let Some(profiler) = &mut attached.profiler {
+                    profiler.record_samples(self.now, || MetricsSample {
+                        cycle: 0, // stamped per boundary by the profiler
+                        resident_pages: self.memory.len(),
+                        fault_backlog: self.fault_queue.len() as u64
+                            + u64::from(self.in_service.is_some()),
+                        in_flight: self.in_flight.len() as u64,
+                        live_warps: self.live_warps as u64,
+                        hir_fill: self.policy.hir_fill(),
+                        degraded: self.policy.is_degraded(),
+                        faults_serviced: self.stats.driver.faults_serviced,
+                        evictions: self.stats.driver.evictions,
+                    });
+                }
+                false
+            }
+            Tap::Retired => attached.sanitizer.as_mut().is_some_and(Sanitizer::tick),
+            Tap::Finished => attached.sanitizer.as_mut().is_some_and(Sanitizer::finish),
+            Tap::PolicyEvents => {
+                if let Some(obs) = &attached.observer {
+                    self.policy.drain_events(&mut |e| {
+                        obs.borrow_mut()
+                            .on_event(SimEvent::from_policy(e, self.now));
+                    });
+                }
+                false
+            }
+            tap => {
+                if let (Tap::Event(event), Some(obs)) = (tap, &attached.observer) {
+                    obs.borrow_mut().on_event(event);
+                }
+                if let Some(profiler) = &mut attached.profiler {
+                    profiler.tap(tap, self.now);
+                }
+                false
+            }
+        };
+        if check_due {
+            self.sanitize_check()?;
+        }
+        Ok(())
     }
 
     fn schedule(&mut self, time: u64, kind: EventKind) {
@@ -624,15 +628,16 @@ impl<P: EvictionPolicy> Simulation<P> {
         if first_issue {
             self.warps[w].issued = true;
             self.policy.on_access(op.page);
-        } else if let Some(prof) = self.profiler.as_mut() {
+        } else {
             // Replay after a fault: the warp's stall ends at this step
             // (and may immediately re-begin if the page was re-evicted).
-            prof.warp_resumed(w, self.now);
+            self.tap(Tap::WarpResumed(w))?;
         }
 
-        // Address translation.
-        let mut walked = false;
+        // Address translation: TLB lookup latency, plus the page walk on
+        // a miss in both levels.
         let mut latency = u64::from(self.l1[sm].latency());
+        let mut walk = 0;
         let translated = if self.l1[sm].lookup(op.page) {
             self.stats.tlb.l1_hits += 1;
             debug_assert!(
@@ -651,15 +656,14 @@ impl<P: EvictionPolicy> Simulation<P> {
                 true
             } else {
                 self.stats.tlb.l2_misses += 1;
-                latency += u64::from(self.cfg.page_walk_cycles);
-                walked = true;
+                walk = u64::from(self.cfg.page_walk_cycles);
                 self.stats.walks += 1;
                 let hit = self.memory.is_resident(op.page);
-                self.emit(SimEvent::PageWalk {
+                self.tap(Tap::Event(SimEvent::PageWalk {
                     time: self.now,
                     page: op.page,
                     hit,
-                });
+                }))?;
                 if hit {
                     self.stats.walk_hits += 1;
                     self.policy.on_walk_hit(op.page);
@@ -672,20 +676,10 @@ impl<P: EvictionPolicy> Simulation<P> {
             }
         };
 
-        // SM-side overlay accounting: translation latency split into TLB
-        // lookups and the page walk. Charged for faulting accesses too —
+        // SM-side overlay accounting, charged for faulting accesses too —
         // the walk is what discovered the fault.
-        if let Some(prof) = self.profiler.as_mut() {
-            let walk = if walked {
-                u64::from(self.cfg.page_walk_cycles)
-            } else {
-                0
-            };
-            prof.charge(CycleAccount::SmTlb, latency - walk);
-            if walked {
-                prof.charge(CycleAccount::PageWalk, walk);
-            }
-        }
+        self.tap(Tap::Charge(CycleAccount::SmTlb, latency))?;
+        self.tap(Tap::Charge(CycleAccount::PageWalk, walk))?;
 
         if !translated {
             // Page fault: suspend this warp until the driver migrates the
@@ -701,13 +695,11 @@ impl<P: EvictionPolicy> Simulation<P> {
         self.warps[w].issued = false;
         self.warps[w].cursor += 1;
         self.stats.mem_accesses += 1;
-        self.stats.instructions += 1 + u64::from(op.compute);
-        if let Some(prof) = self.profiler.as_mut() {
-            prof.charge(CycleAccount::SmMem, u64::from(self.cfg.mem_access_cycles));
-            prof.charge(CycleAccount::SmCompute, u64::from(op.compute));
-        }
-        let done_at =
-            self.now + latency + u64::from(self.cfg.mem_access_cycles) + u64::from(op.compute);
+        let (mem, compute) = (u64::from(self.cfg.mem_access_cycles), u64::from(op.compute));
+        self.stats.instructions += 1 + compute;
+        self.tap(Tap::Charge(CycleAccount::SmMem, mem))?;
+        self.tap(Tap::Charge(CycleAccount::SmCompute, compute))?;
+        let done_at = self.now + latency + walk + mem + compute;
         if self.warps[w].cursor < self.warps[w].ops.len() {
             self.schedule(done_at, EventKind::WarpReady(w));
         } else {
@@ -720,45 +712,27 @@ impl<P: EvictionPolicy> Simulation<P> {
     }
 
     fn raise_fault(&mut self, page: PageId, warp: usize) -> Result<(), SimError> {
+        self.tap(Tap::WarpStalled(warp))?;
         match self.waiters.entry(page) {
             Entry::Occupied(mut e) => {
                 // Fault already pending: coalesce.
                 e.get_mut().push(warp);
-                if let Some(prof) = self.profiler.as_mut() {
-                    prof.note_coalesce(page);
-                    prof.warp_stalled(warp, self.now);
-                }
+                self.tap(Tap::FaultCoalesced(page))?;
             }
             Entry::Vacant(e) => {
                 e.insert(vec![warp]);
-                if let Some(prof) = self.profiler.as_mut() {
-                    prof.open_span(page, self.now);
-                    prof.warp_stalled(warp, self.now);
-                }
-                self.emit(SimEvent::FaultRaised {
+                self.tap(Tap::Event(SimEvent::FaultRaised {
                     time: self.now,
                     page,
-                });
-                if self.recent_counts.contains_key(&page) {
+                }))?;
+                if let Some(&(_, evicted_as)) = self.recent_counts.get(&page) {
                     self.stats.driver.wrong_evictions += 1;
-                    if let Some(prof) = self.profiler.as_mut() {
-                        prof.mark_wrong_eviction(page);
-                    }
-                    if self.observer.is_some() {
-                        // 1 = the most recent eviction. The linear scan
-                        // only runs with an observer attached.
-                        let distance = self
-                            .recent_evictions
-                            .iter()
-                            .rev()
-                            .position(|&p| p == page)
-                            .map_or(0, |d| d as u64 + 1);
-                        self.emit(SimEvent::WrongEviction {
-                            time: self.now,
-                            page,
-                            refault_distance: distance,
-                        });
-                    }
+                    self.tap(Tap::Event(SimEvent::WrongEviction {
+                        time: self.now,
+                        page,
+                        // 1 = the most recent eviction.
+                        refault_distance: self.stats.driver.evictions - evicted_as + 1,
+                    }))?;
                 }
                 if self.in_service.is_none() {
                     self.start_fault_service(page)?;
@@ -776,6 +750,8 @@ impl<P: EvictionPolicy> Simulation<P> {
         self.in_service = Some(page);
         self.in_flight.clear();
         self.in_flight.push(page);
+        // Every demand page in this batch leaves the queue stage now.
+        self.tap(Tap::ServiceBegun(page))?;
 
         // Fault batching: service additional queued demand faults in this
         // same window (real UVM drivers batch faults per interrupt). Never
@@ -796,15 +772,10 @@ impl<P: EvictionPolicy> Simulation<P> {
             }
             if !self.in_flight.contains(&next) {
                 self.in_flight.push(next);
+                self.tap(Tap::ServiceBegun(next))?;
             }
         }
         let demand_count = self.in_flight.len() as u64;
-        // Every demand page in this batch leaves the queue stage now.
-        if let Some(prof) = self.profiler.as_mut() {
-            for &demand in &self.in_flight {
-                prof.begin_service(demand, self.now);
-            }
-        }
 
         // Sequential prefetch: pull following contiguous pages (within the
         // workload's footprint) that are neither resident nor already
@@ -820,10 +791,10 @@ impl<P: EvictionPolicy> Simulation<P> {
                 && !self.waiters.contains_key(&candidate)
             {
                 self.in_flight.push(candidate);
-                self.emit(SimEvent::PrefetchIssued {
+                self.tap(Tap::Event(SimEvent::PrefetchIssued {
                     time: self.now,
                     page: candidate,
-                });
+                }))?;
             }
         }
 
@@ -916,11 +887,11 @@ impl<P: EvictionPolicy> Simulation<P> {
             self.remember_eviction(victim);
             // VictimSelected (from the policy's buffer) precedes the
             // Eviction it caused.
-            self.drain_policy_events();
-            self.emit(SimEvent::Eviction {
+            self.tap(Tap::PolicyEvents)?;
+            self.tap(Tap::Event(SimEvent::Eviction {
                 time: self.now,
                 page: victim,
-            });
+            }))?;
         }
 
         let mut outcome = uvm_policies::FaultOutcome::default();
@@ -935,7 +906,7 @@ impl<P: EvictionPolicy> Simulation<P> {
             outcome.wasted_transfer_bytes += o.wasted_transfer_bytes;
         }
         // StrategySwitch / HirFlush events raised inside on_fault.
-        self.drain_policy_events();
+        self.tap(Tap::PolicyEvents)?;
         // HIR flushes sent into a dead channel: account the wasted PCIe
         // transfer and feed the circuit breaker, which eventually tells
         // the GPU side to stop paying for flushes that never arrive.
@@ -947,7 +918,7 @@ impl<P: EvictionPolicy> Simulation<P> {
                 if self.breaker.record_failure() {
                     self.stats.resilience.circuit_breaker_trips += 1;
                     self.policy.on_disruption(SignalDisruption::HirCircuitOpen);
-                    self.drain_policy_events();
+                    self.tap(Tap::PolicyEvents)?;
                 }
             }
         }
@@ -957,7 +928,7 @@ impl<P: EvictionPolicy> Simulation<P> {
             if fs.spurious_wrong_eviction(self.now, &mut self.stats.resilience) {
                 self.policy
                     .on_disruption(SignalDisruption::SpuriousWrongEviction { fault_num });
-                self.drain_policy_events();
+                self.tap(Tap::PolicyEvents)?;
             }
         }
         // Prefetched pages each pay their own PCIe transfer. Wasted flush
@@ -979,16 +950,17 @@ impl<P: EvictionPolicy> Simulation<P> {
         // of the (possibly congested) transfer — so the timeline
         // accounts conserve total cycles. Host-side eviction-decision
         // work overlaps the window (Section V-C) and goes to overlay.
-        if let Some(prof) = self.profiler.as_mut() {
-            let flush = self
-                .cfg
-                .pcie_transfer_cycles(outcome.transfer_bytes + outcome.wasted_transfer_bytes)
-                .min(transfer);
-            prof.charge(CycleAccount::FaultService, service);
-            prof.charge(CycleAccount::HirFlush, flush);
-            prof.charge(CycleAccount::PcieTransfer, transfer - flush);
-            prof.charge(CycleAccount::EvictionDecision, outcome.driver_busy_cycles);
-        }
+        let flush = self
+            .cfg
+            .pcie_transfer_cycles(outcome.transfer_bytes + outcome.wasted_transfer_bytes)
+            .min(transfer);
+        self.tap(Tap::Charge(CycleAccount::FaultService, service))?;
+        self.tap(Tap::Charge(CycleAccount::HirFlush, flush))?;
+        self.tap(Tap::Charge(CycleAccount::PcieTransfer, transfer - flush))?;
+        self.tap(Tap::Charge(
+            CycleAccount::EvictionDecision,
+            outcome.driver_busy_cycles,
+        ))?;
         self.stats.driver.busy_cycles += duration + outcome.driver_busy_cycles;
         self.stats.driver.hit_transfer_cycles +=
             self.cfg.pcie_transfer_cycles(outcome.transfer_bytes);
@@ -1010,13 +982,10 @@ impl<P: EvictionPolicy> Simulation<P> {
             if self.fallback == FallbackVictim::LruShadow {
                 self.shadow.touch(p);
             }
-            if let Some(prof) = self.profiler.as_mut() {
-                prof.close_span(p, self.now);
-            }
-            self.emit(SimEvent::FaultServiced {
+            self.tap(Tap::Event(SimEvent::FaultServiced {
                 time: self.now,
                 page: p,
-            });
+            }))?;
             if let Some(warps) = self.waiters.remove(&p) {
                 for w in warps {
                     self.schedule(self.now, EventKind::WarpReady(w));
@@ -1026,8 +995,8 @@ impl<P: EvictionPolicy> Simulation<P> {
         if self.memory.is_full() && !self.memory_full_notified {
             self.memory_full_notified = true;
             self.policy.on_memory_full();
-            self.drain_policy_events();
-            self.emit(SimEvent::MemoryFull { time: self.now });
+            self.tap(Tap::PolicyEvents)?;
+            self.tap(Tap::Event(SimEvent::MemoryFull { time: self.now }))?;
         }
         if !self.fault_queue.is_empty() {
             self.schedule(self.now, EventKind::DriverPickup);
@@ -1149,10 +1118,11 @@ impl<P: EvictionPolicy> Simulation<P> {
 
     fn remember_eviction(&mut self, page: PageId) {
         self.recent_evictions.push_back(page);
-        *self.recent_counts.entry(page).or_insert(0) += 1;
+        let entry = self.recent_counts.entry(page).or_insert((0, 0));
+        *entry = (entry.0 + 1, self.stats.driver.evictions);
         if self.recent_evictions.len() > WRONG_EVICTION_WINDOW {
             if let Some(old) = self.recent_evictions.pop_front() {
-                if let Some(c) = self.recent_counts.get_mut(&old) {
+                if let Some((c, _)) = self.recent_counts.get_mut(&old) {
                     *c -= 1;
                     if *c == 0 {
                         self.recent_counts.remove(&old);

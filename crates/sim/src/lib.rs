@@ -26,6 +26,12 @@
 //!   cadence (see [`ProfileReport`]); with the profiler attached the
 //!   engine's [`uvm_types::SimStats`] stay byte-identical.
 //!
+//! Observers ([`SimObserver`]), the profiler and the sanitizer attach
+//! through one engine tap: observers receive the public [`SimEvent`]s,
+//! and the profiler and the sanitizer also get the facts only they use.
+//! With nothing attached a run pays the tap's first branch; the
+//! measured figure is in `DESIGN.md` §12.
+//!
 //! # Examples
 //!
 //! ```

@@ -5,7 +5,7 @@
 //! inter-fault distances) without touching the engine. [`EventLog`] is a
 //! ready-made recording observer.
 
-use uvm_types::{PageId, PolicyEvent, StrategyTag};
+use uvm_types::{CycleAccount, PageId, PolicyEvent, StrategyTag};
 use uvm_util::{FromJson, Json, JsonError, ToJson};
 
 /// One paging event, stamped with the simulated cycle.
@@ -321,6 +321,36 @@ impl FromJson for SimEvent {
 pub trait SimObserver: std::fmt::Debug {
     /// Called for every paging event in simulated-time order.
     fn on_event(&mut self, event: SimEvent);
+}
+
+/// What the engine reports to whatever is attached to a run: the public
+/// [`SimEvent`]s, which observers receive, plus facts only the profiler
+/// and the sanitizer use.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Tap {
+    /// A paging event.
+    Event(SimEvent),
+    /// The policy's buffered decision events, stamped with the current
+    /// cycle (`VictimSelected`, `StrategySwitch`, `HirFlush`).
+    PolicyEvents,
+    /// Cycles charged to a profiler account.
+    Charge(CycleAccount, u64),
+    /// A warp stalled on a page fault.
+    WarpStalled(usize),
+    /// A warp replays the op it faulted on.
+    WarpResumed(usize),
+    /// Another warp joined the pending fault on a page.
+    FaultCoalesced(PageId),
+    /// The driver began servicing the fault on a page.
+    ServiceBegun(PageId),
+    /// A lost completion for a page is retried after `delay` cycles.
+    Retry { page: PageId, delay: u64 },
+    /// The clock advanced to the next event (metrics-series cadence).
+    Clock,
+    /// An event's handler returned (sanitizer cadence).
+    Retired,
+    /// The run drained (the sanitizer's final pass).
+    Finished,
 }
 
 /// An observer that records every event.

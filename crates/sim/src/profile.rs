@@ -32,14 +32,15 @@
 //!    JSONL or CSV.
 //!
 //! The profiler is installed with [`crate::Simulation::set_profiler`]
-//! and costs one `Option` branch per event when absent. Every
-//! accumulation site in the engine sits behind that opt-in guard —
-//! enforced statically by `hpe-lint`'s `profile-guard` rule.
+//! and fed only through the engine's one tap. Detached, a run pays the
+//! tap's first branch; the measured figures are in `DESIGN.md` §12.
 
 use std::collections::HashMap;
 
 use uvm_types::{CycleAccount, PageId, SpanStage};
 use uvm_util::{json, Histogram, Json, ToJson};
+
+use crate::observer::{SimEvent, Tap};
 
 /// Default metrics-series cadence, in cycles between samples (matches
 /// the bench runner's cycle-window width: ≈ 9 fault services on the
@@ -245,8 +246,8 @@ impl ToJson for MetricsSeries {
 
 /// The live profiler attached to a running [`crate::Simulation`].
 ///
-/// Engine hooks charge accounts and advance spans; [`Profiler::finalize`]
-/// turns the accumulated state into a [`ProfileReport`]. All hooks are
+/// Engine taps charge accounts and advance spans; [`Profiler::finalize`]
+/// turns the accumulated state into a [`ProfileReport`]. Taps are
 /// observation-only: nothing here is readable by the engine or policy.
 #[derive(Debug)]
 pub struct Profiler {
@@ -292,16 +293,83 @@ impl Profiler {
         self.spans.len() as u64
     }
 
-    fn index(account: CycleAccount) -> usize {
-        CycleAccount::ALL
-            .iter()
-            .position(|&a| a == account)
-            .unwrap_or(0)
+    /// Takes one engine tap: the only way engine facts reach the
+    /// profiler's accounts and spans at cycle `now`. Forced inline so
+    /// each engine site keeps only its own variant's arm.
+    #[inline(always)]
+    pub(crate) fn tap(&mut self, tap: Tap, now: u64) {
+        match tap {
+            Tap::Charge(account, cycles) => self.accounts[account as usize] += cycles,
+            // A newly raised fault opens a span.
+            Tap::Event(SimEvent::FaultRaised { page, .. }) => {
+                let id = self.spans.len() as u64;
+                self.spans.push(SpanRecord {
+                    id,
+                    page,
+                    raised_at: now,
+                    service_start: None,
+                    done_at: None,
+                    coalesced_warps: 0,
+                    retries: 0,
+                    retry_cycles: 0,
+                    refault_of: None,
+                    caused_refaults: 0,
+                });
+                self.open_by_page.insert(page, id);
+            }
+            // The engine's re-fault window classified the open span as a
+            // wrong eviction: attribute it back to the span that
+            // originally migrated the page.
+            Tap::Event(SimEvent::WrongEviction { page, .. }) => {
+                let origin = self.last_span_by_page.get(&page);
+                if let (Some(&id), Some(&orig)) = (self.open_by_page.get(&page), origin) {
+                    self.spans[id as usize].refault_of = Some(orig);
+                    self.spans[orig as usize].caused_refaults += 1;
+                }
+            }
+            // The page landed: close its span.
+            Tap::Event(SimEvent::FaultServiced { page, .. }) => {
+                if let Some(id) = self.open_by_page.remove(&page) {
+                    self.spans[id as usize].done_at = Some(now);
+                    self.last_span_by_page.insert(page, id);
+                }
+            }
+            Tap::FaultCoalesced(page) => {
+                if let Some(span) = self.span_open_on(page) {
+                    span.coalesced_warps += 1;
+                }
+            }
+            Tap::ServiceBegun(page) => {
+                if let Some(span) = self.span_open_on(page) {
+                    span.service_start.get_or_insert(now);
+                }
+            }
+            // A completion-loss retry is charged to the backoff account
+            // and attributed to the in-service span.
+            Tap::Retry { page, delay } => {
+                self.accounts[CycleAccount::RetryBackoff as usize] += delay;
+                if let Some(span) = self.span_open_on(page) {
+                    span.retries += 1;
+                    span.retry_cycles += delay;
+                }
+            }
+            Tap::WarpStalled(w) => {
+                self.stall_since.entry(w).or_insert(now);
+            }
+            // The warp replays: its finished stall goes to `sm_stall`.
+            Tap::WarpResumed(w) => {
+                if let Some(since) = self.stall_since.remove(&w) {
+                    self.accounts[CycleAccount::SmStall as usize] += now.saturating_sub(since);
+                }
+            }
+            _ => {}
+        }
     }
 
-    /// Charges `cycles` to `account`.
-    pub(crate) fn charge(&mut self, account: CycleAccount, cycles: u64) {
-        self.accounts[Self::index(account)] += cycles;
+    /// The span still open (raised or in service) on `page`, if any.
+    fn span_open_on(&mut self, page: PageId) -> Option<&mut SpanRecord> {
+        let id = *self.open_by_page.get(&page)?;
+        self.spans.get_mut(id as usize)
     }
 
     /// Records the memory capacity for occupancy context (idempotent).
@@ -309,94 +377,15 @@ impl Profiler {
         self.capacity_pages = capacity_pages;
     }
 
-    /// Opens a span for a newly raised fault on `page`.
-    pub(crate) fn open_span(&mut self, page: PageId, now: u64) {
-        let id = self.spans.len() as u64;
-        self.spans.push(SpanRecord {
-            id,
-            page,
-            raised_at: now,
-            service_start: None,
-            done_at: None,
-            coalesced_warps: 0,
-            retries: 0,
-            retry_cycles: 0,
-            refault_of: None,
-            caused_refaults: 0,
-        });
-        self.open_by_page.insert(page, id);
-    }
-
-    /// Marks the open span on `page` as a wrong-eviction re-fault
-    /// (the engine's re-fault window classified it), attributing it back
-    /// to the span that originally migrated the page.
-    pub(crate) fn mark_wrong_eviction(&mut self, page: PageId) {
-        let Some(&id) = self.open_by_page.get(&page) else {
+    /// Records a `snapshot` of engine state for every cadence boundary at
+    /// or before `now`, taking it only when one is due (engine state is
+    /// constant between events, so crossed boundaries all see the same
+    /// values, stamped at their own cycle).
+    pub(crate) fn record_samples(&mut self, now: u64, snapshot: impl FnOnce() -> MetricsSample) {
+        if now < self.next_sample {
             return;
-        };
-        if let Some(&orig) = self.last_span_by_page.get(&page) {
-            self.spans[id as usize].refault_of = Some(orig);
-            self.spans[orig as usize].caused_refaults += 1;
         }
-    }
-
-    /// Counts one more warp coalescing onto the pending fault on `page`.
-    pub(crate) fn note_coalesce(&mut self, page: PageId) {
-        if let Some(&id) = self.open_by_page.get(&page) {
-            self.spans[id as usize].coalesced_warps += 1;
-        }
-    }
-
-    /// Marks the open span on `page` as entering service at `now`.
-    pub(crate) fn begin_service(&mut self, page: PageId, now: u64) {
-        if let Some(&id) = self.open_by_page.get(&page) {
-            let span = &mut self.spans[id as usize];
-            if span.service_start.is_none() {
-                span.service_start = Some(now);
-            }
-        }
-    }
-
-    /// Attributes one completion-loss retry of `delay` cycles to the
-    /// in-service span on `page`, and charges the retry-backoff account.
-    pub(crate) fn note_retry(&mut self, page: PageId, delay: u64) {
-        self.charge(CycleAccount::RetryBackoff, delay);
-        if let Some(&id) = self.open_by_page.get(&page) {
-            let span = &mut self.spans[id as usize];
-            span.retries += 1;
-            span.retry_cycles += delay;
-        }
-    }
-
-    /// Closes the span on `page` (its page landed at `now`).
-    pub(crate) fn close_span(&mut self, page: PageId, now: u64) {
-        if let Some(id) = self.open_by_page.remove(&page) {
-            self.spans[id as usize].done_at = Some(now);
-            self.last_span_by_page.insert(page, id);
-        }
-    }
-
-    /// Records that warp `w` stalled on a fault at `now`.
-    pub(crate) fn warp_stalled(&mut self, w: usize, now: u64) {
-        self.stall_since.entry(w).or_insert(now);
-    }
-
-    /// Charges warp `w`'s finished stall (replay at `now`) to `sm_stall`.
-    pub(crate) fn warp_resumed(&mut self, w: usize, now: u64) {
-        if let Some(since) = self.stall_since.remove(&w) {
-            self.charge(CycleAccount::SmStall, now.saturating_sub(since));
-        }
-    }
-
-    /// Whether the metrics series owes one or more samples at `now`.
-    pub(crate) fn sample_due(&self, now: u64) -> bool {
-        now >= self.next_sample
-    }
-
-    /// Records `snapshot` for every cadence boundary at or before `now`
-    /// (engine state is constant between events, so crossed boundaries
-    /// all see the same values, stamped at their own cycle).
-    pub(crate) fn record_samples(&mut self, now: u64, snapshot: MetricsSample) {
+        let snapshot = snapshot();
         while self.next_sample <= now {
             let mut s = snapshot;
             s.cycle = self.next_sample;
@@ -412,9 +401,9 @@ impl Profiler {
         let busy: u64 = CycleAccount::ALL
             .iter()
             .filter(|a| a.is_timeline() && **a != CycleAccount::DriverIdle)
-            .map(|&a| self.accounts[Self::index(a)])
+            .map(|&a| self.accounts[a as usize])
             .sum();
-        self.accounts[Self::index(CycleAccount::DriverIdle)] = total_cycles.saturating_sub(busy);
+        self.accounts[CycleAccount::DriverIdle as usize] = total_cycles.saturating_sub(busy);
 
         let mut hists = SpanStage::ALL.map(|stage| match stage {
             SpanStage::Queue => Histogram::new("span_queue_cycles", 1 << 14, 64),
@@ -454,7 +443,7 @@ impl Profiler {
             total_cycles,
             accounts: CycleAccount::ALL
                 .iter()
-                .map(|&a| (a, self.accounts[Self::index(a)]))
+                .map(|&a| (a, self.accounts[a as usize]))
                 .collect(),
             spans: summary,
             stage_histograms: vec![queue, service, total, retry],
@@ -682,10 +671,11 @@ mod tests {
     #[test]
     fn idle_residual_makes_timeline_conserve() {
         let mut p = Profiler::new(ProfileConfig::default());
-        p.charge(CycleAccount::FaultService, 700);
-        p.charge(CycleAccount::PcieTransfer, 200);
-        p.charge(CycleAccount::HirFlush, 50);
-        p.charge(CycleAccount::SmCompute, 999_999); // overlay: not in the sum
+        p.tap(Tap::Charge(CycleAccount::FaultService, 700), 0);
+        p.tap(Tap::Charge(CycleAccount::PcieTransfer, 200), 0);
+        p.tap(Tap::Charge(CycleAccount::HirFlush, 50), 0);
+        // Overlay: not in the sum.
+        p.tap(Tap::Charge(CycleAccount::SmCompute, 999_999), 0);
         let report = p.finalize(10_000);
         assert_eq!(report.timeline_sum(), 10_000);
         assert_eq!(report.driver_idle(), 10_000 - 950);
@@ -695,16 +685,24 @@ mod tests {
     #[test]
     fn span_lifecycle_records_stages_and_attribution() {
         let mut p = Profiler::new(ProfileConfig::default());
-        p.open_span(PageId(7), 100);
-        p.note_coalesce(PageId(7));
-        p.begin_service(PageId(7), 150);
-        p.note_retry(PageId(7), 40);
-        p.close_span(PageId(7), 400);
+        let page = PageId(7);
+        let raised = |time| Tap::Event(SimEvent::FaultRaised { time, page });
+        let serviced = |time| Tap::Event(SimEvent::FaultServiced { time, page });
+        p.tap(raised(100), 100);
+        p.tap(Tap::FaultCoalesced(page), 120);
+        p.tap(Tap::ServiceBegun(page), 150);
+        p.tap(Tap::Retry { page, delay: 40 }, 360);
+        p.tap(serviced(400), 400);
         // The page is evicted and re-faults: the new span points back.
-        p.open_span(PageId(7), 900);
-        p.mark_wrong_eviction(PageId(7));
-        p.begin_service(PageId(7), 900);
-        p.close_span(PageId(7), 1000);
+        p.tap(raised(900), 900);
+        let wrong = SimEvent::WrongEviction {
+            time: 900,
+            page,
+            refault_distance: 1,
+        };
+        p.tap(Tap::Event(wrong), 900);
+        p.tap(Tap::ServiceBegun(page), 900);
+        p.tap(serviced(1000), 1000);
         let report = p.finalize(2_000);
         assert_eq!(report.spans.opened, 2);
         assert_eq!(report.spans.completed, 2);
@@ -736,13 +734,13 @@ mod tests {
             faults_serviced: 9,
             evictions: 1,
         };
-        assert!(p.sample_due(0));
-        p.record_samples(250, snap);
-        assert!(!p.sample_due(299));
-        assert!(p.sample_due(300));
+        p.record_samples(250, || snap);
+        // No boundary is crossed before 300: the snapshot is not taken.
+        p.record_samples(299, || panic!("no sample is due at 299"));
+        p.record_samples(300, || snap);
         let report = p.finalize(1_000);
         let cycles: Vec<u64> = report.series.samples.iter().map(|s| s.cycle).collect();
-        assert_eq!(cycles, vec![0, 100, 200]);
+        assert_eq!(cycles, vec![0, 100, 200, 300]);
         assert_eq!(report.series.samples[2].resident_pages, 5);
     }
 
@@ -750,20 +748,17 @@ mod tests {
     fn exports_are_parallel_jsonl_and_csv() {
         let mut p = Profiler::new(ProfileConfig { series_cadence: 10 });
         p.set_capacity(64);
-        p.record_samples(
-            0,
-            MetricsSample {
-                cycle: 0,
-                resident_pages: 1,
-                fault_backlog: 0,
-                in_flight: 0,
-                live_warps: 2,
-                hir_fill: 0,
-                degraded: true,
-                faults_serviced: 0,
-                evictions: 0,
-            },
-        );
+        p.record_samples(0, || MetricsSample {
+            cycle: 0,
+            resident_pages: 1,
+            fault_backlog: 0,
+            in_flight: 0,
+            live_warps: 2,
+            hir_fill: 0,
+            degraded: true,
+            faults_serviced: 0,
+            evictions: 0,
+        });
         let report = p.finalize(100);
         let jsonl = report.series.to_jsonl();
         assert_eq!(jsonl.lines().count(), 1);
@@ -778,7 +773,7 @@ mod tests {
     #[test]
     fn folded_stacks_name_component_then_account() {
         let mut p = Profiler::new(ProfileConfig::default());
-        p.charge(CycleAccount::HirFlush, 42);
+        p.tap(Tap::Charge(CycleAccount::HirFlush, 42), 0);
         let report = p.finalize(100);
         let folded = report.folded();
         assert!(folded.contains("pcie;hir_flush 42"));

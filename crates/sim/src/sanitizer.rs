@@ -5,8 +5,8 @@
 //! of the *running* simulation that no lexer can see — residency
 //! accounting, HIR occupancy, chain partitioning, and the recovery state
 //! machines. The engine owns a [`Sanitizer`] only when one is installed
-//! with `Simulation::set_sanitizer`, so sanitizer-off runs pay a single
-//! `Option` branch per event and nothing else.
+//! with `Simulation::set_sanitizer` and ticks it from its one tap, whose
+//! detached cost is measured in `DESIGN.md` §12.
 //!
 //! Checks are read-only by contract: a sanitizer-on run must produce
 //! byte-identical [`uvm_types::SimStats`] to a sanitizer-off run. On a
@@ -95,10 +95,11 @@ impl Sanitizer {
         due
     }
 
-    /// Notes the end-of-run final pass (always performed when a
-    /// sanitizer is installed, regardless of cadence phase).
-    pub(crate) fn note_final_check(&mut self) {
+    /// Notes the end-of-run pass, which is due whatever the cadence
+    /// phase: returns `true`, as [`Self::tick`] does when a pass is due.
+    pub(crate) fn finish(&mut self) -> bool {
         self.checks_run += 1;
+        true
     }
 
     /// Events observed so far.
@@ -139,7 +140,7 @@ mod tests {
         for _ in 0..5 {
             assert!(!s.tick());
         }
-        s.note_final_check();
+        assert!(s.finish());
         assert_eq!(s.checks_run(), 1);
         assert_eq!(s.events_seen(), 5);
     }

@@ -67,7 +67,8 @@ pub enum CycleAccount {
 }
 
 impl CycleAccount {
-    /// Every account, timeline accounts first, in report order.
+    /// Every account, timeline accounts first, in report order — which
+    /// is declaration order, so `account as usize` indexes this array.
     pub const ALL: [CycleAccount; 11] = [
         CycleAccount::FaultService,
         CycleAccount::PcieTransfer,
@@ -219,6 +220,14 @@ mod tests {
         for s in SpanStage::ALL {
             let back = SpanStage::from_json(&s.to_json()).unwrap();
             assert_eq!(back, s);
+        }
+    }
+
+    #[test]
+    fn all_lists_accounts_in_discriminant_order() {
+        // The profiler indexes its account array with `account as usize`.
+        for (i, a) in CycleAccount::ALL.into_iter().enumerate() {
+            assert_eq!(a as usize, i, "{a:?}");
         }
     }
 

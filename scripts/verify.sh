@@ -108,6 +108,12 @@ echo "==> profiler smoke (one traced+profiled run, conservation checked)"
 # to the run's total cycles. See DESIGN.md §12.
 cargo run -q --release --offline -p hpe-bench --bin hpe-trace -- profile STN > /dev/null
 
+echo "==> profiler byte-identity gate (STN + SGM, on vs off)"
+# Runs STN and SGM with the profiler attached and detached and
+# exits nonzero unless SimStats are byte-identical and the
+# timeline accounts conserve — the observation-only contract.
+cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- profile > /dev/null
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # Enforces the root clippy.toml (wall clock, unseeded hashing) and the
 # workspace panic lints. The seeded fixture package is excluded here and
@@ -167,14 +173,6 @@ if [ "${CHECK_TENANTS:-0}" = "1" ]; then
     # render with every tenant ok (exit 0).
     cargo run -q --release --offline -p hpe-bench --bin hpe-trace -- \
         tenants target/paper-results/tenant-mix-faulted.json > /dev/null
-fi
-
-if [ "${CHECK_PROFILE:-0}" = "1" ]; then
-    echo "==> profiler byte-identity gate (CHECK_PROFILE=1)"
-    # Runs STN and SGM with the profiler attached and detached and
-    # exits nonzero unless SimStats are byte-identical and the
-    # timeline accounts conserve — the observation-only contract.
-    cargo run -q --release --offline -p hpe-bench --bin hpe-chaos -- profile
 fi
 
 echo "verify: OK"
